@@ -36,7 +36,6 @@ from .grading import (
     InvariantReport,
     flag_dimension,
     grade,
-    grade_adjoint,
     hcodim,
     is_shimura_type,
     report,
@@ -57,7 +56,6 @@ from .hodge import (
 )
 from .lie import (
     CLASSICAL_KINDS,
-    AdjointOperator,
     MatLieAlgebra,
     adjoint_of_diagonal,
     bracket_matrices,
@@ -84,7 +82,6 @@ from .verdicts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointOperator",
     "BracketClosureError",
     "CLASSICAL_KINDS",
     "ChainIdentity",
@@ -128,7 +125,6 @@ __all__ = [
     "flag_dimension",
     "gaussian_field",
     "grade",
-    "grade_adjoint",
     "hcodim",
     "intersection_basis",
     "is_maximal_transcendence",

@@ -32,10 +32,8 @@ class NormalizationError(MathDomainError):
 
 
 class IncompleteGrading(MathDomainError):
-    """Integer eigenspaces of the adjoint action fail to exhaust the algebra,
-    so the adjoint action of diag(lambda) is not semisimple with integer
-    eigenvalues.  Unreachable through the public constructors; kept as a
-    defensive check against corrupted state."""
+    """The level dimensions handed to CocharGrading do not sum to the
+    dimension of the algebra, so they are not the profile of a grading."""
 
 
 class BracketClosureError(MathDomainError):

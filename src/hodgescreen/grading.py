@@ -20,9 +20,11 @@ dimension profile alone:
 
 Their difference is the dimension of the k = -1 level, an identity the
 verdict engine re-checks on every run.  Everything here is a rank
-computation over Q; eigenvalues of ad diag(lambda) are differences of
-the integer weights, so scanning k from -(max - min) to (max - min)
-is exhaustive and IncompleteGrading guards the (defensive) remainder.
+computation over Q.  ad diag(lambda) multiplies the matrix unit E_ij by
+the weight difference lambda_i - lambda_j, so an algebra normalized by
+diag(lambda) is the direct sum of its intersections with these weight
+spaces, and dim g_k is the rank of the basis entries at the positions of
+weight k: one small rank per weight that occurs.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 
 from .errors import IncompleteGrading
 from .hodge import HodgeNumbers
-from .lie import AdjointOperator, MatLieAlgebra, adjoint_of_diagonal
-from .linalg import ExactMatrix, rank
+from .lie import MatLieAlgebra, adjoint_of_diagonal
+from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -98,27 +100,9 @@ def grade(algebra: MatLieAlgebra, mu: HodgeCocharacter) -> CocharGrading:
     """Adjoint grading of the algebra by the cocharacter.
 
     Raises NormalizationError when diag(lambda) does not normalize the
-    algebra and IncompleteGrading when integer eigenspaces fail to
-    exhaust it (impossible for a diagonal integer cocharacter, kept as a
-    defensive check)."""
-    ad = adjoint_of_diagonal(algebra, mu.weights)
-    return grade_adjoint(ad)
-
-
-def grade_adjoint(ad: AdjointOperator) -> CocharGrading:
-    dim = ad.algebra.dim
-    if dim == 0:
-        return CocharGrading(algebra_dim=0, levels={})
-    weights = ad.weights
-    spread = int(max(weights) - min(weights))
-    matrix = ad.matrix
-    identity = ExactMatrix.identity(matrix.field, dim)
-    levels = {}
-    for k in range(-spread, spread + 1):
-        d = dim - rank(matrix - identity * matrix.field.coerce(k))
-        if d:
-            levels[k] = d
-    return CocharGrading(algebra_dim=dim, levels=levels)
+    algebra."""
+    blocks = adjoint_of_diagonal(algebra, mu.weights)
+    return CocharGrading(algebra.dim, {k: rank(block) for k, block in blocks.items()})
 
 
 def flag_dimension(grading: CocharGrading) -> int:

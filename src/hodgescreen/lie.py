@@ -17,11 +17,15 @@ antidiagonal ones (+1 antidiagonal for the orthogonal family, +1/-1 split
 for the symplectic family), which make diagonal cocharacters with
 mirror-symmetric weights land in the normalizer.
 
-The adjoint operator of diag(lambda) needs no matrix products at all:
-[diag(lambda), X]_{ij} = (lambda_i - lambda_j) X_{ij}.  Its matrix in the
-given basis is assembled column by column through exact span membership;
-a bracket falling outside the span raises NormalizationError, which is
-the precise meaning of "lambda is not a cocharacter of this group".
+The adjoint action of diag(lambda) needs no matrix products at all:
+[diag(lambda), X]_{ij} = (lambda_i - lambda_j) X_{ij}, so gl_N splits
+into weight spaces spanned by the E_ij sharing one difference
+lambda_i - lambda_j.  Each bracket [diag(lambda), b_l] is tested for
+exact span membership; one falling outside the span raises
+NormalizationError, which is the precise meaning of "lambda is not a
+cocharacter of this group".  Past that check the algebra splits along
+the same weight spaces, and adjoint_of_diagonal hands back the basis
+entries of each occurring weight as one block.
 
 Internally the hot paths (closure checking, membership) run on sparse
 {position: Fraction} vectors because classical bases have one or two
@@ -31,7 +35,6 @@ ExactMatrix objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BracketClosureError, NormalizationError
@@ -75,18 +78,6 @@ def _rows_of(sp: dict) -> dict:
     for (i, j), v in sp.items():
         by_row.setdefault(i, []).append((j, v))
     return by_row
-
-
-def sparse_bracket(a: dict, b: dict) -> dict:
-    ab = _sparse_mul(a, _rows_of(b))
-    ba = _sparse_mul(b, _rows_of(a))
-    for key, v in ba.items():
-        s = ab.get(key, 0) - v
-        if s == 0:
-            ab.pop(key, None)
-        else:
-            ab[key] = s
-    return ab
 
 
 def bracket_matrices(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -296,37 +287,38 @@ def direct_sum(a: MatLieAlgebra, b: MatLieAlgebra) -> MatLieAlgebra:
     return MatLieAlgebra(n, mats, name=f"{a.name}+{b.name}")
 
 
-@dataclass(frozen=True)
-class AdjointOperator:
-    """Matrix of ad(diag(lambda)) in the algebra's own basis."""
+def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> dict:
+    """Weight blocks {k: ExactMatrix} of the algebra under ad(diag(lambda)),
+    or NormalizationError when diag(lambda) does not normalize it.
 
-    algebra: MatLieAlgebra
-    weights: tuple
-    matrix: ExactMatrix
-
-
-def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> AdjointOperator:
-    """ad(diag(lambda)) on the algebra, or NormalizationError when
-    diag(lambda) does not normalize it.
-
-    Column j of the matrix holds the basis coordinates of
-    [diag(lambda), basis[j]].
+    Block k has one column per position (i, j) with lambda_i - lambda_j = k
+    that the basis occupies, and one row per basis element occupying such
+    a position, holding its entries there.  Once diag(lambda) normalizes
+    the algebra, its projection onto these positions equals its
+    intersection with them, so the rank of block k is dim g_k.
     """
     weights = tuple(parse_rational(x) for x in lam)
     if len(weights) != algebra.ambient_dim:
         raise ValueError(
             f"lambda has length {len(weights)}, ambient dimension is {algebra.ambient_dim}"
         )
-    columns = []
+    parts_by_weight = {}
     for idx, sp in enumerate(algebra._sparse):
         bracket = {}
+        parts = {}
         for (i, j), v in sp.items():
             w = weights[i] - weights[j]
+            parts.setdefault(w, {})[(i, j)] = v
             if w != 0:
                 bracket[(i, j)] = w * v
-        residual, coords = algebra._reducer.reduce(bracket)
+        residual, _ = algebra._reducer.reduce(bracket)
         if residual:
             raise NormalizationError(idx)
-        columns.append(tuple(coords.get(l, Fraction(0)) for l in range(algebra.dim)))
-    matrix = ExactMatrix.from_columns(QQ, columns, nrows=algebra.dim)
-    return AdjointOperator(algebra=algebra, weights=weights, matrix=matrix)
+        for w, part in parts.items():
+            parts_by_weight.setdefault(w, []).append(part)
+    zero = Fraction(0)
+    blocks = {}
+    for k, rows in sorted(parts_by_weight.items()):
+        cols = sorted(set().union(*rows))
+        blocks[k] = ExactMatrix(QQ, [[row.get(p, zero) for p in cols] for row in rows])
+    return blocks

@@ -223,15 +223,6 @@ def kernel_basis(m: ExactMatrix):
     return basis
 
 
-def eigenspace(m: ExactMatrix, eigenvalue):
-    """Basis of ker(M - eigenvalue * I) for a square matrix."""
-    if m.nrows != m.ncols:
-        raise ValueError("eigenspace of a non-square matrix")
-    lam = m.field.coerce(eigenvalue)
-    shifted = m - ExactMatrix.identity(m.field, m.nrows) * lam
-    return kernel_basis(shifted)
-
-
 def solve_right(a: ExactMatrix, b: ExactMatrix):
     """Solve A X = B for X, A square invertible; ValueError when singular."""
     if a.nrows != a.ncols:

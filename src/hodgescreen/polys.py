@@ -231,17 +231,6 @@ class Poly:
             for e, bucket in out.items()
         }
 
-    def subs(self, var: int, replacement: "Poly") -> "Poly":
-        """Substitute a polynomial for one variable (Horner in that variable)."""
-        replacement = self._coerce(replacement)
-        buckets = self.coeffs_in(var)
-        if not buckets:
-            return self.ring.zero()
-        acc = self.ring.zero()
-        for e in range(max(buckets), -1, -1):
-            acc = acc * replacement + buckets.get(e, self.ring.zero())
-        return acc
-
     # -- printing ------------------------------------------------------------
 
     def __repr__(self):

@@ -26,8 +26,6 @@ import keyword
 from dataclasses import dataclass
 from fractions import Fraction
 
-import jsonschema
-
 from .errors import SpecValidationError
 from .fields import NumberField, QQ, parse_rational
 from .flags import FlagPoint
@@ -272,6 +270,10 @@ class SpecDocument:
 
 
 def _schema_problems(raw) -> list:
+    # Imported here: jsonschema is most of the package's import time and
+    # memory, and only spec validation needs it.
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(SPEC_SCHEMA)
     problems = []
     for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):

@@ -172,6 +172,13 @@ def test_math_errors_exit_3_with_the_offending_pair(tmp_path):
     assert proc.returncode == 3
     assert "math error (BracketClosureError)" in proc.stderr
     assert "basis[0], basis[1]" in proc.stderr
+    # closed, but diag(1, 0) maps [[0, 1], [1, 0]] outside its span
+    doc["group"]["basis"] = [[["0", "1"], ["1", "0"]]]
+    proc = run("invariants", spec_text=doc, tmp_path=tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "math error (NormalizationError): [diag(lambda), basis[0]] is not in the algebra"
+    ]
 
 
 def test_lie_check_reports_both_algebras():

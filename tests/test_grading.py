@@ -6,6 +6,7 @@ re-derive them on every run.
 """
 
 import random
+import time
 
 import pytest
 
@@ -81,6 +82,20 @@ def test_grading_exhausts_the_algebra_and_shifts_centrally():
         assert sum(d for _k, d in grading.sorted_levels()) == alg.dim
         shifted = grade(alg, HodgeCocharacter(lam).shifted(3))
         assert shifted.sorted_levels() == grading.sorted_levels()
+
+
+def test_full_spread_levels_of_gl_and_sl_in_closed_form():
+    # diag(n-1, ..., 0) puts n - |k| matrix units at weight k; sl(n)
+    # loses one dimension of the diagonal, at k = 0.
+    start = time.monotonic()
+    for n in (12, 16):
+        lam = tuple(range(n - 1, -1, -1))
+        expected = {k: n - abs(k) for k in range(1 - n, n)}
+        assert dict(grade(make_classical("gl", n), HodgeCocharacter(lam)).levels) == expected
+        expected[0] -= 1
+        assert dict(grade(make_classical("sl", n), HodgeCocharacter(lam)).levels) == expected
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"took {elapsed:.3f}s, budget 10s"
 
 
 def test_declared_hodge_numbers_constrain_the_weights():

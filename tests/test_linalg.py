@@ -21,7 +21,7 @@ from hodgescreen import (
     rank,
     rref,
 )
-from hodgescreen.linalg import eigenspace, inverse, solve_right
+from hodgescreen.linalg import inverse, solve_right
 
 
 def leibniz_det(field, rows):
@@ -125,13 +125,6 @@ def test_solve_and_inverse_round_trip():
     singular = ExactMatrix(QQ, [[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         inverse(singular)
-
-
-def test_eigenspace_dimensions_of_a_diagonal():
-    m = ExactMatrix(QQ, [[3, 0, 0], [0, 3, 0], [0, 0, -1]])
-    assert len(eigenspace(m, Fraction(3))) == 2
-    assert len(eigenspace(m, Fraction(-1))) == 1
-    assert len(eigenspace(m, Fraction(0))) == 0
 
 
 def test_intersection_of_spans_matches_hand_computation():
