@@ -8,9 +8,12 @@ This module provides the first two floors.  Q is `fractions.Fraction`
 behind a small field object (QQ); a number field is described by a monic
 irreducible minimal polynomial together with an isolating rectangle that
 designates one complex embedding.  Irreducibility is verified at
-construction (composite input is rejected, never silently factored), and
-the rectangle is certified to isolate exactly one root by the interval
-Newton operator from `intervals`.
+construction (composite input is rejected, never silently factored) by
+the modular method in `irreducible`: distinct-degree factorization
+modulo a few small primes, then Hensel lifting and Zassenhaus
+recombination when no prime proves it outright.  The rectangle is
+certified to isolate exactly one root by the interval Newton operator
+from `intervals`.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta^(d-1).  Arithmetic is exact; only sign determination under the
@@ -32,6 +35,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted
 from .intervals import Interval, Rectangle, certify_isolating, newton_step, poly_derivative
+from .irreducible import _poly_xgcd, _strip, is_irreducible_over_q
 
 _SIGN_BUDGET = 96
 
@@ -45,74 +49,6 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot read a rational from {value!r}")
-
-
-def _strip(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder in Q[x]; coefficient lists ascending."""
-    a = _strip(a)
-    b = _strip(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    inv_lead = 1 / b[-1]
-    while r and len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = r[-1] * inv_lead
-        q[shift] = factor
-        for i, bi in enumerate(b):
-            r[shift + i] -= factor * bi
-        r = _strip(r)
-    return q, r
-
-
-def _poly_xgcd(a, b):
-    """Extended Euclid in Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _strip(a), _strip(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _strip(out)
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _strip(out)
-
-
-def _is_irreducible_over_q(coeffs) -> bool:
-    # Factorization is out of scope for this package; the one yes/no
-    # question we need is answered by sympy.
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(coeffs))
-    return sympy.Poly(expr, x, domain="QQ").is_irreducible
 
 
 class RationalField:
@@ -279,7 +215,7 @@ class NumberField:
             raise ValueError("number field degree must be at least 2; use QQ for degree 1")
         if coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        if not _is_irreducible_over_q(coeffs):
+        if not is_irreducible_over_q(coeffs):
             raise ValueError("minimal polynomial is not irreducible over Q; "
                              "composite input is rejected")
         self.minpoly = coeffs

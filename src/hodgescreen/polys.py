@@ -8,9 +8,12 @@ top floor of the fixed scalar tower.
 gcds use the primitive polynomial remainder sequence: pick a main
 variable, split off the content (a gcd in one variable fewer, so the
 recursion terminates), and run pseudo-division on the primitive parts,
-re-primitivizing every remainder.  Over a coefficient *field* the result
-is canonical once we scale the lex leading coefficient to one, and that
-normalization is what makes reduced rational functions a canonical form.
+re-primitivizing every remainder and scaling it to lex-leading
+coefficient one.  Content removal divides only by a monic polynomial,
+so without that scaling the rational coefficients grow at every step.
+Over a coefficient *field* the result is canonical once we scale the
+lex leading coefficient to one, and that normalization is what makes
+reduced rational functions a canonical form.
 """
 
 from __future__ import annotations
@@ -272,7 +275,7 @@ def divexact(a: Poly, b: Poly) -> Poly:
     field = ring.field
     q = ring.zero()
     r = a
-    eb, cb = b.lex_leading() if not b.is_zero() else (None, None)
+    eb, cb = b.lex_leading()
     while not r.is_zero():
         er, cr = r.lex_leading()
         exp = tuple(x - y for x, y in zip(er, eb))
@@ -340,6 +343,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         r = pseudo_rem(f, g, var)
         if not r.is_zero():
             _, r = _content_primitive(r, var)
+            r = _normalize(r)
         f, g = g, r
     _, f = _content_primitive(f, var)
     return _normalize(c * f)

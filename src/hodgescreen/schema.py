@@ -112,6 +112,7 @@ SPEC_SCHEMA = {
                         "minpoly": {
                             "type": "array",
                             "minItems": 3,
+                            "maxItems": 17,
                             "items": _RATIONAL,
                         },
                         "embedding": {

@@ -2,9 +2,10 @@
 
 The oracles deliberately take different computational routes from the
 package: grading dimensions come from sympy's characteristic-polynomial
-eigenvalue multiplicities instead of kernel ranks, and transcendence
+eigenvalue multiplicities instead of kernel ranks, transcendence
 degrees come from elimination (resultant cascade with a Groebner
-fallback) instead of Jacobian ranks.
+fallback) instead of Jacobian ranks, and irreducibility over Q is
+sympy's answer instead of the package's modular test.
 """
 
 from fractions import Fraction
@@ -175,6 +176,17 @@ def oracle_trdeg(flag):
         if not _dependent(chosen + [(num, den)], tsyms):
             chosen.append((num, den))
     return len(chosen)
+
+
+# -- irreducibility oracle --------------------------------------------------------
+
+def oracle_is_irreducible(coeffs):
+    """sympy's irreducibility answer for a rational coefficient list
+    (constant term first)."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x**k
+               for k, c in enumerate(coeffs))
+    return sympy.Poly(expr, x, domain="QQ").is_irreducible
 
 
 # -- random flag points -------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end runs of the command line, as a subprocess."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 
 EXPECTED_EXIT = {
     "gsp4-cy.json": 10,
@@ -235,3 +237,13 @@ def test_missing_file_is_a_spec_error():
     proc = run("screen", "/nonexistent/nope.json")
     assert proc.returncode == 2
     assert "not found" in proc.stderr
+
+
+def test_sympy_stays_off_the_runtime_path():
+    argv = [sys.executable, "-X", "importtime", "-m", "hodgescreen", "screen",
+            str(SPECS / "torus-cm.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert not [line for line in proc.stderr.splitlines() if "sympy" in line]
+    imports = re.compile(r"^\s*(import|from) sympy\b", re.M)
+    assert not [p for p in (ROOT / "src").rglob("*.py") if imports.search(p.read_text())]

@@ -1,5 +1,7 @@
 """Exact scalar tower: intervals, rationals, number fields."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,9 @@ from hodgescreen.intervals import (
     eval_poly_rect,
     refine,
 )
+from hodgescreen.irreducible import is_irreducible_over_q
+
+from support import oracle_is_irreducible
 
 
 def test_parse_rational_accepts_ints_fractions_and_strings():
@@ -73,7 +78,8 @@ def test_number_field_constructor_contracts():
         NumberField((Fraction(-2), Fraction(0), Fraction(2)), box)  # not monic
     with pytest.raises(ValueError):
         NumberField((Fraction(-2), Fraction(1)), box)  # degree 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^minimal polynomial is not irreducible over Q; "
+                                         "composite input is rejected$"):
         NumberField((Fraction(-1), Fraction(0), Fraction(1)), box)  # reducible
 
 
@@ -184,3 +190,58 @@ def test_rational_field_singleton_contract():
     assert QQ.conj(Fraction(5)) == Fraction(5)
     assert QQ.has_conjugation
     assert QQ.is_zero(Fraction(0)) and not QQ.is_zero(Fraction(1, 9))
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def test_irreducibility_matches_the_sympy_oracle_on_named_cases():
+    cases = {
+        # irreducible over Q, yet reducible modulo every prime
+        (1, 0, 0, 0, 1): True,  # x^4 + 1
+        (1, 0, -10, 0, 1): True,  # x^4 - 10x^2 + 1
+        (4, 0, 0, 0, 1): False,  # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2)
+        (1, 0, 1, 0, 1): False,  # x^4 + x^2 + 1
+        (1, 0, 2, 0, 1): False,  # (x^2 + 1)^2
+        (0, 2, 0, 1): False,  # x (x^2 + 2)
+        (Fraction(-1, 4), 0, 1): False,  # x^2 - 1/4
+        (Fraction(-1, 2), 0, 1): True,  # x^2 - 1/2
+    }
+    for coeffs, expected in cases.items():
+        assert is_irreducible_over_q(coeffs) is expected, coeffs
+        assert oracle_is_irreducible(coeffs) is expected, coeffs
+
+
+def test_swinnerton_dyer_octic_is_irreducible_within_budget():
+    # minimal polynomial of sqrt(2) + sqrt(3) + sqrt(5): only linear and
+    # quadratic factors modulo every prime, so recombination must run
+    coeffs = (576, 0, -960, 0, 352, 0, -40, 0, 1)
+    start = time.monotonic()
+    assert is_irreducible_over_q(coeffs)
+    elapsed = time.monotonic() - start
+    assert oracle_is_irreducible(coeffs)
+    assert elapsed < 2.0, f"took {elapsed:.3f}s, budget 2s"
+
+
+def test_irreducibility_matches_the_sympy_oracle_on_random_polynomials():
+    rng = random.Random(20261018)
+
+    def monic(degree):
+        lower = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(degree)]
+        return lower + [Fraction(1)]
+
+    products = 0
+    for _ in range(240):
+        if rng.random() < 0.5:
+            left = rng.randint(1, 4)
+            coeffs = _times(monic(left), monic(rng.randint(1, 8 - left)))
+            products += 1
+        else:
+            coeffs = monic(rng.randint(2, 8))
+        assert is_irreducible_over_q(coeffs) == oracle_is_irreducible(coeffs), coeffs
+    assert 90 <= products <= 150

@@ -1,6 +1,7 @@
 """Parametric flags, chart normalization, transcendence degree."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,25 @@ def test_jacobian_matrix_shape():
     assert jac.rows[0][0] == t2 and jac.rows[0][1] == t1
     empty = jacobian_matrix([], f)
     assert empty.nrows == 0 and empty.ncols == 2
+
+
+def test_symbolic_trdeg_of_a_generic_flag_within_budget():
+    # (d, s, k) = (3, 2, 2) with dense affine-linear entries: the gcds in
+    # the symbolic rank blow up unless every PRS remainder is rescaled
+    rng = random.Random(1)
+    f = field_over_q("t1", "t2")
+    t1, t2 = f.gens()
+
+    def form():
+        return (f.coerce(rng.randint(-3, 3)) + rng.choice((-3, -2, -1, 1, 2, 3)) * t1
+                + rng.choice((-3, -2, -1, 1, 2, 3)) * t2)
+
+    vectors = tuple(tuple(form() for _ in range(3)) for _ in range(2))
+    flag = FlagPoint(f, 3, steps=((1, vectors),))
+    start = time.monotonic()
+    assert trdeg(flag).value == 2
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"took {elapsed:.3f}s, budget 10s"
 
 
 def test_trdeg_matches_elimination_oracle():

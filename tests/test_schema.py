@@ -14,6 +14,7 @@ from hodgescreen import (
     load_document,
     parse_document,
 )
+from hodgescreen import cli, schema
 from hodgescreen.schema import SPEC_SCHEMA, parse_entry
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -248,6 +249,19 @@ def test_flag_field_problems_are_located():
         "embedding": [["1/2", "3/2"], ["-1/2", "1/2"]],
     }
     assert "flag_point/field" in problems_of(doc)
+
+
+def test_oversized_minpoly_is_rejected_before_any_field_is_built(monkeypatch, capsys, tmp_path):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a number field was built")
+
+    monkeypatch.setattr(schema, "NumberField", no_field)
+    doc = json.loads((SPECS / "torus-cm.json").read_text())
+    doc["flag_point"]["field"]["minpoly"] = ["1"] + ["0"] * 16 + ["1"]  # degree 17
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["screen", str(path)]) == 2
+    assert "spec error: flag_point/field/minpoly: " in capsys.readouterr().err
 
 
 def test_flag_entry_problems_carry_their_position():
