@@ -8,14 +8,18 @@ entries are exact: JSON integers, "a/b" strings, or (where expressions
 are allowed) strings over the declared parameter names.  Floats are
 never accepted.
 
-Validation is two-phase.  The jsonschema pass pins the shape and
-reports every structural problem with its JSON path.  The semantic pass
-then builds the actual objects and cross-checks the sections against
-each other (lambda length vs ambient dimension, lambda multiset vs the
-Hodge table, flag step dimensions vs the filtration profile).  All
-collected problems surface in one SpecValidationError.  Mathematical
-failures that only a computation can detect (a basis not closed under
-bracket) stay MathDomainError and are not converted.
+Validation is two-phase.  The structural pass checks the document
+against SPEC_SCHEMA (the JSON Schema also shipped as specs/schema.json)
+with `jsonshape`, and reports every shape problem with its JSON path,
+in jsonschema's words and order; jsonschema itself is only the test
+suite's oracle.  Sizes are capped: group.n at 16, minpoly degree at 16,
+literal exponents at MAX_EXPONENT.  The semantic pass then builds the
+actual objects and cross-checks the sections against each other (lambda
+length vs ambient dimension, lambda multiset vs the Hodge table, flag
+step dimensions vs the filtration profile).  All collected problems
+surface in one SpecValidationError.  Mathematical failures that only a
+computation can detect (a basis not closed under bracket) stay
+MathDomainError and are not converted.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .flags import FlagPoint
 from .grading import HodgeCocharacter
 from .hodge import HodgeNumbers, PolarizationForm, filtration_dims
 from .intervals import Interval, Rectangle
+from .jsonshape import shape_problems
 from .lie import CLASSICAL_KINDS, MatLieAlgebra, make_classical
 from .ratfunc import FunctionField
 from .verdicts import ConjectureSet
@@ -50,7 +55,7 @@ _GROUP = {
     "required": ["kind", "n"],
     "properties": {
         "kind": {"enum": list(CLASSICAL_KINDS) + ["custom"]},
-        "n": {"type": "integer", "minimum": 1},
+        "n": {"type": "integer", "minimum": 1, "maximum": 16},
         "form": _MATRIX,
         "basis": {"type": "array", "minItems": 1, "items": _MATRIX},
     },
@@ -180,6 +185,8 @@ SPEC_SCHEMA = {
 
 # -- exact expression entries --------------------------------------------------
 
+MAX_EXPONENT = 64  # larger literal powers are spec errors, raised before evaluation
+
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -192,9 +199,9 @@ def parse_entry(value, env: dict, field):
     """One exact scalar from an int or a small arithmetic expression.
 
     Grammar: integer literals, the names in env, + - * /, integer powers
-    written **, parentheses, unary signs.  Nothing else; in particular
-    no floats, no calls, and no '^' (bitwise xor precedence would turn
-    i^2 + 1 into i**3 silently).
+    written ** (exponent at most MAX_EXPONENT), parentheses, unary signs.
+    Nothing else; in particular no floats, no calls, and no '^' (bitwise
+    xor precedence would turn i^2 + 1 into i**3 silently).
     """
     if isinstance(value, bool):
         raise ValueError("boolean is not a scalar entry")
@@ -238,6 +245,10 @@ def parse_entry(value, env: dict, field):
                     raise ValueError(
                         "exponents must be literal non-negative integers"
                     )
+                if node.right.value > MAX_EXPONENT:
+                    raise ValueError(
+                        f"exponent {node.right.value} is above the cap of {MAX_EXPONENT}"
+                    )
                 return walk(node.left) ** node.right.value
             handler = _BINOPS.get(type(node.op))
             if handler is not None:
@@ -271,16 +282,7 @@ class SpecDocument:
 
 
 def _schema_problems(raw) -> list:
-    # Imported here: jsonschema is most of the package's import time and
-    # memory, and only spec validation needs it.
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(SPEC_SCHEMA)
-    problems = []
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        path = "/".join(str(part) for part in err.absolute_path) or "(document root)"
-        problems.append(f"{path}: {err.message}")
-    return problems
+    return shape_problems(raw, SPEC_SCHEMA)
 
 
 def _build_algebra(section: dict, label: str, problems: list) -> MatLieAlgebra | None:

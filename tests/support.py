@@ -4,12 +4,14 @@ The oracles deliberately take different computational routes from the
 package: grading dimensions come from sympy's characteristic-polynomial
 eigenvalue multiplicities instead of kernel ranks, transcendence
 degrees come from elimination (resultant cascade with a Groebner
-fallback) instead of Jacobian ranks, and irreducibility over Q is
-sympy's answer instead of the package's modular test.
+fallback) instead of Jacobian ranks, irreducibility over Q is
+sympy's answer instead of the package's modular test, and spec shape
+problems are jsonschema's instead of the package's own schema walk.
 """
 
 from fractions import Fraction
 
+import jsonschema
 import sympy
 
 from hodgescreen import (
@@ -21,6 +23,7 @@ from hodgescreen import (
     make_classical,
     normalize_chart,
 )
+from hodgescreen.schema import SPEC_SCHEMA
 
 FORM_KINDS = ("so", "sp", "gsp", "go")
 
@@ -187,6 +190,21 @@ def oracle_is_irreducible(coeffs):
     expr = sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x**k
                for k, c in enumerate(coeffs))
     return sympy.Poly(expr, x, domain="QQ").is_irreducible
+
+
+# -- spec shape oracle ---------------------------------------------------------------
+
+_SPEC_VALIDATOR = jsonschema.Draft202012Validator(SPEC_SCHEMA)
+
+
+def oracle_schema_problems(raw):
+    """jsonschema's "path: message" list for a spec document, sorted
+    stably by JSON path."""
+    problems = []
+    for err in sorted(_SPEC_VALIDATOR.iter_errors(raw), key=lambda e: list(e.absolute_path)):
+        path = "/".join(str(part) for part in err.absolute_path) or "(document root)"
+        problems.append(f"{path}: {err.message}")
+    return problems
 
 
 # -- random flag points -------------------------------------------------------------

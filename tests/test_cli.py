@@ -1,6 +1,7 @@
 """End-to-end runs of the command line, as a subprocess."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
+# The child interpreter imports the package from this checkout's src/,
+# installed or not.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
 
 EXPECTED_EXIT = {
     "gsp4-cy.json": 10,
@@ -26,7 +31,7 @@ def run(*args, spec_text=None, tmp_path=None):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_text))
         argv.append(str(path))
-    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120, env=ENV)
 
 
 def test_screen_exit_codes_for_every_shipped_spec():
@@ -239,11 +244,17 @@ def test_missing_file_is_a_spec_error():
     assert "not found" in proc.stderr
 
 
-def test_sympy_stays_off_the_runtime_path():
-    argv = [sys.executable, "-X", "importtime", "-m", "hodgescreen", "screen",
-            str(SPECS / "torus-cm.json")]
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert not [line for line in proc.stderr.splitlines() if "sympy" in line]
-    imports = re.compile(r"^\s*(import|from) sympy\b", re.M)
+def test_sympy_stays_off_the_runtime_path(tmp_path):
+    """Neither test-only package, sympy nor jsonschema, is imported by a
+    run, whether the spec is valid or fails the schema."""
+    invalid = json.loads((SPECS / "torus-cm.json").read_text())
+    invalid["group"]["n"] = "4"
+    (tmp_path / "invalid.json").write_text(json.dumps(invalid))
+    for spec, code in ((SPECS / "torus-cm.json", 0), (tmp_path / "invalid.json", 2)):
+        argv = [sys.executable, "-X", "importtime", "-m", "hodgescreen", "screen", str(spec)]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=ENV)
+        assert proc.returncode == code, proc.stderr
+        assert not [line for line in proc.stderr.splitlines()
+                    if "sympy" in line or "jsonschema" in line]
+    imports = re.compile(r"^\s*(import|from) (sympy|jsonschema)\b", re.M)
     assert not [p for p in (ROOT / "src").rglob("*.py") if imports.search(p.read_text())]

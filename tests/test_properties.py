@@ -1,4 +1,5 @@
-"""Property tests: gcd normalization, reduced pairs, chart invariance."""
+"""Property tests: ring axioms, gcd normalization, canonical reduced
+pairs, chart invariance."""
 
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from support import poly_to_sympy, random_poly_flag
 
 NAMES = ("t1", "t2")
 RING = PolyRing(QQ, NAMES)
+FIELD = FunctionField(QQ, NAMES)
 SYMS = sympy.symbols(NAMES)
 SMALL = settings(max_examples=40, deadline=None, database=None)
 
@@ -25,6 +27,53 @@ polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients, max_size=3
 ).map(lambda terms: Poly(RING, terms))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+ratfuncs = st.builds(lambda a, b: RatFunc(FIELD, a, b), polys, nonzero_polys)
+# Three-fold sums multiply denominators, and gcds over Q(t1, t2) grow fast
+# with degree, so the field axioms draw multilinear terms.
+linear_polys = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), coefficients, max_size=2
+).map(lambda terms: Poly(RING, terms))
+small_ratfuncs = st.builds(
+    lambda a, b: RatFunc(FIELD, a, b), linear_polys,
+    linear_polys.filter(lambda p: not p.is_zero()),
+)
+
+
+def pair(f):
+    return f.num, f.den
+
+
+@seed(20261021)
+@SMALL
+@given(polys, polys, polys)
+def test_polynomial_ring_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == RING.zero()
+
+
+@seed(20261022)
+@SMALL
+@given(small_ratfuncs, small_ratfuncs, small_ratfuncs)
+def test_rational_function_field_axioms_on_reduced_pairs(x, y, z):
+    assert pair((x + y) + z) == pair(x + (y + z))
+    assert pair((x * y) * z) == pair(x * (y * z))
+    assert pair(x * (y + z)) == pair(x * y + x * z)
+    assert pair(x + (-x)) == pair(FIELD.zero())
+
+
+@seed(20261023)
+@SMALL
+@given(ratfuncs, ratfuncs, coefficients)
+def test_equal_rational_functions_have_equal_reduced_pairs(x, y, k):
+    routes = [(x + y) - y, RatFunc(FIELD, x.num.scale(k), x.den.scale(k))]
+    if not y.is_zero():
+        routes.append((x * y) / y)
+    for value in routes:
+        assert value.num * x.den == x.num * value.den  # the same element
+        assert pair(value) == pair(x)
+        assert value.den.lex_leading()[1] == 1
 
 
 @seed(20261018)
@@ -45,8 +94,7 @@ def test_gcd_of_a_common_multiple_is_normalized_and_matches_sympy(a, b, c):
 @SMALL
 @given(polys, nonzero_polys, nonzero_polys)
 def test_common_factors_cancel_in_rational_functions(a, b, c):
-    field = FunctionField(QQ, NAMES)
-    assert RatFunc(field, a * c, b * c) == RatFunc(field, a, b)
+    assert RatFunc(FIELD, a * c, b * c) == RatFunc(FIELD, a, b)
 
 
 @seed(20261020)

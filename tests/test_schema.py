@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,13 @@ from hodgescreen import (
     parse_document,
 )
 from hodgescreen import cli, schema
-from hodgescreen.schema import SPEC_SCHEMA, parse_entry
+from hodgescreen.jsonshape import shape_problems
+from hodgescreen.schema import MAX_EXPONENT, SPEC_SCHEMA, parse_entry
+
+from support import oracle_schema_problems
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+SHIPPED = sorted(p for p in SPECS.glob("*.json") if p.name != "schema.json")
 
 
 def base_doc():
@@ -30,15 +35,15 @@ def base_doc():
 
 
 def problems_of(doc):
+    assert schema._schema_problems(doc) == oracle_schema_problems(doc)
     with pytest.raises(SpecValidationError) as info:
         parse_document(doc)
     return "\n".join(str(p) for p in info.value.problems)
 
 
 def test_shipped_specs_all_parse():
-    paths = sorted(p for p in SPECS.glob("*.json") if p.name != "schema.json")
-    assert len(paths) == 7
-    for path in paths:
+    assert len(SHIPPED) == 7
+    for path in SHIPPED:
         doc = load_document(path)
         assert doc.algebra is not None
         assert doc.numbers.total_dim() == doc.algebra.ambient_dim
@@ -119,6 +124,84 @@ def test_unknown_group_kind_is_a_shape_error():
     doc = base_doc()
     doc["group"]["kind"] = "spin"
     assert "kind" in problems_of(doc)
+
+
+def test_every_schema_keyword_is_supported():
+    def subschemas(node):
+        yield node
+        for key, value in node.items():
+            if key == "properties":
+                for sub in value.values():
+                    yield from subschemas(sub)
+            elif key == "items":
+                yield from subschemas(value)
+            elif key == "anyOf":
+                for sub in value:
+                    yield from subschemas(sub)
+
+    for node in subschemas(SPEC_SCHEMA):
+        shape_problems(None, node)  # visits every keyword of the node
+    for unsupported in ({"pattern": "^t"}, {"type": ["integer", "string"]},
+                        {"additionalProperties": {"type": "integer"}},
+                        {"enum": ["gl", 1]}):
+        with pytest.raises(NotImplementedError, match="not supported"):
+            shape_problems(None, unsupported)
+
+
+JUNK = (True, False, 0, -1, 2.0, 1.5, None, "", "x", [], [1], {}, {"x": 1})
+
+
+def mutate(doc, rng):
+    """One random edit somewhere in doc: a key deleted, keys added, a
+    value replaced by a wrong-typed one, an array emptied or grown, or
+    group.n moved."""
+    containers = []
+
+    def collect(node):
+        if isinstance(node, (dict, list)):
+            containers.append(node)
+            for child in (node.values() if isinstance(node, dict) else node):
+                collect(child)
+
+    collect(doc)
+    node = rng.choice(containers)
+    junk = copy.deepcopy(rng.choice(JUNK))
+    op = rng.randrange(5)
+    if op == 4 and isinstance(doc.get("group"), dict):
+        doc["group"]["n"] = rng.choice((0, -3, 1, 16, 17, 2.0, 16.0, 17.0, 10**20))
+    elif isinstance(node, dict):
+        keys = list(node)
+        if op == 0 and keys:
+            del node[rng.choice(keys)]
+        elif op == 1 or not keys:
+            for name in rng.sample(("zeta", "extra", "n", "kind", "p", "lambda"), rng.randint(1, 2)):
+                node[name] = junk
+        else:
+            node[rng.choice(keys)] = junk
+    elif op == 0 or not node:
+        node.clear()
+    elif op == 1:
+        node.append(copy.deepcopy(rng.choice(node)) if rng.randrange(2) else junk)
+    else:
+        node[rng.randrange(len(node))] = junk
+
+
+def test_structural_problems_match_the_jsonschema_oracle():
+    bases = [json.loads(p.read_text()) for p in SHIPPED] + [base_doc()]
+    for doc in bases:
+        assert schema._schema_problems(doc) == oracle_schema_problems(doc) == []
+    for value in (None, [], 3, "spec"):
+        assert schema._schema_problems(value) == oracle_schema_problems(value)
+    rng = random.Random(20261018)
+    invalid = 0
+    for _ in range(1200):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng)
+        expected = oracle_schema_problems(doc)
+        assert schema._schema_problems(doc) == expected, doc
+        invalid += bool(expected)
+    assert invalid > 1000
 
 
 # -- cross-checks --------------------------------------------------------------
@@ -262,6 +345,41 @@ def test_oversized_minpoly_is_rejected_before_any_field_is_built(monkeypatch, ca
     path.write_text(json.dumps(doc))
     assert cli.main(["screen", str(path)]) == 2
     assert "spec error: flag_point/field/minpoly: " in capsys.readouterr().err
+
+
+def test_group_n_above_16_is_rejected_before_any_algebra_is_built(monkeypatch, capsys, tmp_path):
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(schema, "make_classical", no_algebra)
+    doc = base_doc()
+    doc["group"]["n"] = 17
+    doc["gand_group"] = {"kind": "gl", "n": 10**6}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["invariants", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spec error: gand_group/n: 1000000 is greater than the maximum of 16",
+        "spec error: group/n: 17 is greater than the maximum of 16",
+    ]
+
+
+def test_exponents_above_the_cap_are_rejected_before_evaluation():
+    class NoPower:
+        def __pow__(self, n):
+            raise AssertionError("a power was evaluated")
+
+    env, field = entry_env()
+    t1 = env["t1"]
+    assert parse_entry(f"t1**{MAX_EXPONENT}", env, field) == t1 ** MAX_EXPONENT
+    for text in (f"t1**{MAX_EXPONENT + 1}", "(t1 + 1)**1000000000"):
+        with pytest.raises(ValueError, match=f"above the cap of {MAX_EXPONENT}"):
+            parse_entry(text, {"t1": NoPower()}, field)
+    doc = flag_doc()
+    doc["flag_point"]["steps"] = [{"p": 1, "basis": [["1", "t1**65"]]}]
+    assert problems_of(doc) == (
+        "flag_point/steps/0/basis/0/1: exponent 65 is above the cap of 64"
+    )
 
 
 def test_flag_entry_problems_carry_their_position():
