@@ -7,19 +7,21 @@ contract is the caller's, and reports surface it as a reminder.
 
 normalize_chart puts every step into the affine chart of its
 Grassmannian determined by the lexicographically first nonsingular
-maximal minor: the step basis M becomes M B^{-1} with B the pivot rows,
-so the pivot rows read as the identity and the remaining entries are
-canonical coordinates of the subspace.  They depend only on the span,
-not on the basis, which is what makes the transcendence degree
-well-defined.
+maximal minor: one rref of the step's basis vectors, taken as rows,
+turns the basis M into (M B^{-1})^T with B the pivot rows, so the pivot
+columns read as the identity and the remaining entries are canonical
+coordinates of the subspace.  They depend only on the span, not on the
+basis, which is what makes the transcendence degree well-defined.
 
 trdeg is the rank of the Jacobian of those coordinates with respect to
 the parameters, a field-theoretic transcendence degree by the Jacobian
 criterion in characteristic zero.  theta contributes nothing: the
 derivative is taken over Q(theta).  An optional fast path evaluates the
 Jacobian at a random integer point (seeded, recorded, denominators
-avoided by retry); when the evaluated rank hits the maximum possible it
-certifies the symbolic answer without running symbolic elimination.
+avoided by retry) straight from each coordinate's numerator and
+denominator, without building it symbolically.  An evaluated rank is a
+lower bound for the symbolic one, so when it hits the maximum possible
+it is the answer and no symbolic elimination runs.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DenominatorVanishes
-from .linalg import ExactMatrix, inverse, rank
+# inverse is unused here; perfbench/spans.py patches flags.inverse
+from .linalg import ExactMatrix, inverse, rank, rref
 from .ratfunc import FunctionField, RatFunc
 
 _FAST_PATH_RETRIES = 32
@@ -92,29 +94,21 @@ class FlagPoint:
 def normalize_chart(flag: FlagPoint):
     """Canonical affine-chart coordinates of every step, concatenated.
 
-    For each step: pick the lexicographically first set of rows whose
-    maximal minor is nonsingular, reduce the basis against it, and emit
-    the entries of the remaining rows in row-major order.
+    For each step, one rref of the s x d matrix whose rows are the basis
+    vectors.  Its pivot columns are the greedy, hence lexicographically
+    first, set of rows of the d x s basis matrix M whose maximal minor B
+    is nonsingular (the independent sets of a matrix form a matroid),
+    and the reduced matrix is (M B^{-1})^T.  For every non-pivot row i
+    of M, in order, emit entry i of each reduced row: the row-major
+    entries of M B^{-1} outside the identity block.
     """
     coords = []
     for _p, vectors in flag.steps:
-        m = flag._matrix(vectors)
-        s = m.ncols
-        pivot_rows = None
-        for combo in combinations(range(flag.ambient_dim), s):
-            candidate = m.submatrix(combo)
-            if rank(candidate) == s:
-                pivot_rows = combo
-                break
-        if pivot_rows is None:  # pragma: no cover - excluded by independence check
-            raise ValueError("step basis has no nonsingular maximal minor")
-        b = m.submatrix(pivot_rows)
-        reduced = m * inverse(b)
-        pivot_set = set(pivot_rows)
+        reduced, pivots = rref(ExactMatrix(flag.field, vectors))
+        pivot_set = set(pivots)
         for i in range(flag.ambient_dim):
-            if i in pivot_set:
-                continue
-            coords.extend(reduced.rows[i])
+            if i not in pivot_set:
+                coords.extend(row[i] for row in reduced.rows)
     return coords
 
 
@@ -136,14 +130,34 @@ def jacobian_matrix(coords, field: FunctionField) -> ExactMatrix:
     return ExactMatrix(field, rows)
 
 
-def _evaluate_rank(jac: ExactMatrix, field: FunctionField, point):
-    base = field.base
+def evaluated_jacobian(coords, field: FunctionField, point) -> list:
+    """Rows of the Jacobian of coords, evaluated at point.
+
+    Row c = n/d is (dn/dt_j * d - n * dd/dt_j) / d^2 at the point, from
+    Poly derivatives and evaluations alone, with no rational-function
+    gcd.  Raises DenominatorVanishes when some d vanishes at the point,
+    which is exactly when an entry of the reduced symbolic Jacobian has
+    a vanishing denominator, so a seed draws the same points as through
+    that Jacobian.  One way, the reduced denominator of every partial
+    divides d^2.  The other way, let n/d be reduced and g an irreducible
+    factor of d with g(point) = 0, of multiplicity e, and d = g^e h.
+    Pick j with dg/dt_j nonzero.  The partial is
+    g^(e-1) (g (dn/dt_j h - n dh/dt_j) - e n h dg/dt_j) / (g^(2e) h^2),
+    and g divides none of e, n, h and dg/dt_j (the last has lower degree
+    in t_j), so g^(e+1) stays in the reduced denominator.
+    """
     rows = []
-    for row in jac.rows:
-        rows.append([entry.eval(point) for entry in row])
-    if not rows:
-        return 0
-    return rank(ExactMatrix(base, rows))
+    for c in coords:
+        d = c.den.eval(point)
+        if field.base.is_zero(d):
+            raise DenominatorVanishes(f"denominator {c.den!r} vanishes at the point")
+        n = c.num.eval(point)
+        d2 = d * d
+        rows.append([
+            (c.num.derivative(j).eval(point) * d - n * c.den.derivative(j).eval(point)) / d2
+            for j in range(len(field.names))
+        ])
+    return rows
 
 
 def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
@@ -152,13 +166,14 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
     The constant field Q(theta) contributes nothing; the value is the
     Jacobian rank of the chart coordinates with respect to the declared
     parameters.  With a seed, a random evaluation first tries to certify
-    the rank cheaply; the point and seed are recorded in the result.
+    the rank cheaply; the point and seed are recorded in the result.  The
+    symbolic Jacobian is built and ranked only without a seed or when
+    the evaluated rank falls short of min(#coordinates, #parameters).
     """
     coords = tuple(normalize_chart(flag))
     k = len(flag.field.names)
     if k == 0:
         return TrdegResult(value=0, chart_coordinates=coords, params=())
-    jac = jacobian_matrix(coords, flag.field)
     max_possible = min(len(coords), k)
     certificate = None
     evaluated = None
@@ -168,7 +183,7 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
         for _ in range(_FAST_PATH_RETRIES):
             candidate = [Fraction(rng.randint(-_FAST_PATH_RANGE, _FAST_PATH_RANGE)) for _ in range(k)]
             try:
-                evaluated = _evaluate_rank(jac, flag.field, candidate)
+                rows = evaluated_jacobian(coords, flag.field, candidate)
             except DenominatorVanishes:
                 continue
             point = candidate
@@ -177,6 +192,7 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
             raise DenominatorVanishes(
                 f"no evaluation point avoided the denominators in {_FAST_PATH_RETRIES} draws"
             )
+        evaluated = rank(ExactMatrix(flag.field.base, rows))
         if evaluated == max_possible:
             return TrdegResult(
                 value=evaluated,
@@ -184,7 +200,7 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
                 params=flag.field.names,
                 certificate={"seed": seed, "point": tuple(point), "evaluated_rank": evaluated},
             )
-    value = rank(jac)
+    value = rank(jacobian_matrix(coords, flag.field))
     if seed is not None and evaluated == value:
         certificate = {"seed": seed, "point": tuple(point), "evaluated_rank": evaluated}
     return TrdegResult(

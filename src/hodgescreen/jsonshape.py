@@ -9,7 +9,8 @@ edit cannot be skipped unnoticed.  Type rules are Draft 2020-12's, and
 every message and the order of the problems are those of jsonschema
 4.x; the test suite checks that against jsonschema itself.  So
 jsonschema, whose import cost more than the rest of loading a spec,
-stays off the runtime path.
+stays off the runtime path.  integral_floats is a second pass, outside
+JSON Schema, for callers that want integers written as integers.
 """
 
 from __future__ import annotations
@@ -93,11 +94,38 @@ def _walk(instance, node: dict, path: tuple, out: list) -> None:
             raise NotImplementedError(f"schema keyword {key!r}: {value!r} is not supported")
 
 
-def shape_problems(instance, schema: dict) -> list:
-    """Every way instance breaks schema, as "path: message" strings,
-    sorted stably by JSON path."""
+def _floats(instance, node: dict, path: tuple, out: list) -> None:
+    """Append (path, message) for each float where node asks for an integer."""
+    if node.get("type") == "integer" and isinstance(instance, float):
+        out.append((path, f"{instance!r} is a float, not an integer"))
+    for sub in node.get("anyOf", ()):
+        _floats(instance, sub, path, out)
+    if isinstance(instance, dict):
+        for name, sub in node.get("properties", {}).items():
+            if name in instance:
+                _floats(instance[name], sub, path + (name,), out)
+    elif isinstance(instance, list) and "items" in node:
+        for index, item in enumerate(instance):
+            _floats(item, node["items"], path + (index,), out)
+
+
+def _report(walk, instance, schema: dict) -> list:
     found = []
-    _walk(instance, schema, (), found)
+    walk(instance, schema, (), found)
     found.sort(key=lambda item: item[0])  # stable: keeps keyword order per path
     return [f"{'/'.join(str(part) for part in path) or '(document root)'}: {message}"
             for path, message in found]
+
+
+def shape_problems(instance, schema: dict) -> list:
+    """Every way instance breaks schema, as "path: message" strings,
+    sorted stably by JSON path."""
+    return _report(_walk, instance, schema)
+
+
+def integral_floats(instance, schema: dict) -> list:
+    """Every float (2.0 included) where schema asks for an integer, in
+    shape_problems' form.  Draft 2020-12 counts 2.0 as an integer, so
+    shape_problems lets it pass; an instance with shape problems may
+    give an incomplete list."""
+    return _report(_floats, instance, schema)

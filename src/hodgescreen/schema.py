@@ -12,8 +12,11 @@ Validation is two-phase.  The structural pass checks the document
 against SPEC_SCHEMA (the JSON Schema also shipped as specs/schema.json)
 with `jsonshape`, and reports every shape problem with its JSON path,
 in jsonschema's words and order; jsonschema itself is only the test
-suite's oracle.  Sizes are capped: group.n at 16, minpoly degree at 16,
-literal exponents at MAX_EXPONENT.  The semantic pass then builds the
+suite's oracle.  A shape-valid document then has every float where the
+schema asks for an integer reported too (JSON Schema counts 2.0 as an
+integer; this tool does not).  Sizes are capped: group.n at 16, minpoly
+degree at 16, literal exponents, and their products through nested
+powers, at MAX_EXPONENT.  The semantic pass then builds the
 actual objects and cross-checks the sections against each other (lambda
 length vs ambient dimension, lambda multiset vs the Hodge table, flag
 step dimensions vs the filtration profile).  All collected problems
@@ -36,7 +39,7 @@ from .flags import FlagPoint
 from .grading import HodgeCocharacter
 from .hodge import HodgeNumbers, PolarizationForm, filtration_dims
 from .intervals import Interval, Rectangle
-from .jsonshape import shape_problems
+from .jsonshape import integral_floats, shape_problems
 from .lie import CLASSICAL_KINDS, MatLieAlgebra, make_classical
 from .ratfunc import FunctionField
 from .verdicts import ConjectureSet
@@ -199,7 +202,9 @@ def parse_entry(value, env: dict, field):
     """One exact scalar from an int or a small arithmetic expression.
 
     Grammar: integer literals, the names in env, + - * /, integer powers
-    written ** (exponent at most MAX_EXPONENT), parentheses, unary signs.
+    written ** (exponent at most MAX_EXPONENT, and so is the product of
+    the exponents of nested powers: ((t1 + 1)**8)**9 is rejected before
+    either power is evaluated), parentheses, unary signs.
     Nothing else; in particular no floats, no calls, and no '^' (bitwise
     xor precedence would turn i^2 + 1 into i**3 silently).
     """
@@ -214,7 +219,8 @@ def parse_entry(value, env: dict, field):
     except SyntaxError as exc:
         raise ValueError(f"cannot parse entry {value!r}: {exc.msg}") from None
 
-    def walk(node):
+    def walk(node, power=1):
+        # power: the product of the literal exponents enclosing node
         if isinstance(node, ast.Expression):
             return walk(node.body)
         if isinstance(node, ast.Constant):
@@ -230,7 +236,7 @@ def parse_entry(value, env: dict, field):
                 raise ValueError(f"unknown name {node.id!r} (allowed: {allowed})")
             return env[node.id]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            inner = walk(node.operand)
+            inner = walk(node.operand, power)
             return inner if isinstance(node.op, ast.UAdd) else -inner
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.BitXor):
@@ -245,14 +251,20 @@ def parse_entry(value, env: dict, field):
                     raise ValueError(
                         "exponents must be literal non-negative integers"
                     )
-                if node.right.value > MAX_EXPONENT:
+                exponent = node.right.value
+                if exponent > MAX_EXPONENT:
                     raise ValueError(
-                        f"exponent {node.right.value} is above the cap of {MAX_EXPONENT}"
+                        f"exponent {exponent} is above the cap of {MAX_EXPONENT}"
                     )
-                return walk(node.left) ** node.right.value
+                if power * exponent > MAX_EXPONENT:
+                    raise ValueError(
+                        f"nested exponents multiply to {power * exponent}, "
+                        f"above the cap of {MAX_EXPONENT}"
+                    )
+                return walk(node.left, power * exponent) ** exponent
             handler = _BINOPS.get(type(node.op))
             if handler is not None:
-                return handler(walk(node.left), walk(node.right))
+                return handler(walk(node.left, power), walk(node.right, power))
         raise ValueError(f"unsupported syntax in entry {value!r}")
 
     try:
@@ -410,7 +422,7 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
 
 
 def parse_document(raw: dict) -> SpecDocument:
-    problems = _schema_problems(raw)
+    problems = _schema_problems(raw) or integral_floats(raw, SPEC_SCHEMA)
     if problems:
         raise SpecValidationError(problems)
 

@@ -5,11 +5,14 @@ package: grading dimensions come from sympy's characteristic-polynomial
 eigenvalue multiplicities instead of kernel ranks, transcendence
 degrees come from elimination (resultant cascade with a Groebner
 fallback) instead of Jacobian ranks, irreducibility over Q is
-sympy's answer instead of the package's modular test, and spec shape
-problems are jsonschema's instead of the package's own schema walk.
+sympy's answer instead of the package's modular test, spec shape
+problems are jsonschema's instead of the package's own schema walk, and
+chart coordinates come from a search over sympy minors and an inverse
+instead of one elimination.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import jsonschema
 import sympy
@@ -181,6 +184,38 @@ def oracle_trdeg(flag):
     return len(chosen)
 
 
+# -- chart oracle -------------------------------------------------------------------
+
+def ratfunc_to_sympy(f, syms):
+    return poly_to_sympy(f.num, syms) / poly_to_sympy(f.den, syms)
+
+
+def oracle_chart(flag):
+    """Chart coordinates by their definition, as sympy expressions.
+
+    Per step: the lexicographically first rows of the d x s basis
+    matrix M whose minor B has a nonzero sympy determinant, then the
+    entries of M B^{-1} (adjugate over determinant) outside those rows,
+    row by row.
+    """
+    syms = tuple(sympy.Symbol(n) for n in flag.field.names)
+    coords = []
+    for _p, vectors in flag.steps:
+        s = len(vectors)
+        m = sympy.Matrix(flag.ambient_dim, s,
+                         lambda i, j: ratfunc_to_sympy(vectors[j][i], syms))
+        for rows in combinations(range(flag.ambient_dim), s):
+            b = m.extract(list(rows), list(range(s)))
+            det = sympy.cancel(b.det(method="berkowitz"))
+            if det != 0:
+                break
+        reduced = m * b.adjugate() / det
+        for i in range(flag.ambient_dim):
+            if i not in rows:
+                coords.extend(sympy.cancel(x) for x in reduced.row(i))
+    return coords
+
+
 # -- irreducibility oracle --------------------------------------------------------
 
 def oracle_is_irreducible(coeffs):
@@ -251,6 +286,63 @@ def random_poly_flag(rng, max_params=3, max_degree=3):
             entries.append(choice)
         vectors.append(tuple(entries))
     return FlagPoint(field, d, ((1, tuple(vectors)),))
+
+
+def random_span_flag(rng, two_steps: bool):
+    """A one- or two-step flag over Q(t1, t2) with sparse entries: zeros,
+    constants, affine-linear forms, their products with a parameter and
+    quotients by a form.  A zero first row or equal second and third
+    rows (in every vector) move the first nonsingular minor off the top
+    rows.  Rejection-sampled until the
+    steps are independent and nested.
+    """
+    field = FunctionField(QQ, ("t1", "t2"))
+    gens = field.gens()
+
+    def form():
+        total = field.coerce(rng.randint(-3, 3))
+        for g in gens:
+            if rng.randrange(3):
+                total = total + rng.choice((-2, -1, 1, 2)) * g
+        return total
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.25:
+            return field.zero()
+        if roll < 0.35:
+            return field.coerce(rng.randint(-3, 3))
+        value = form()
+        if rng.random() < 0.15:
+            value = value * rng.choice(gens)
+        if rng.random() < 0.2:
+            den = form()
+            if den:
+                value = value / den
+        return value
+
+    def vector(d):
+        v = [entry() for _ in range(d)]
+        if zero_top:
+            v[0] = field.zero()
+        if repeat:
+            v[2] = v[1]
+        return tuple(v)
+
+    while True:
+        d = rng.randint(3, 4)
+        zero_top, repeat = rng.random() < 0.3, rng.random() < 0.3
+        if two_steps:
+            small = rng.randint(1, d - 2)
+            big = rng.randint(small + 1, d - 1)
+            low = [vector(d) for _ in range(small)]
+            steps = ((2, tuple(low)), (1, tuple(low + [vector(d) for _ in range(big - small)])))
+        else:
+            steps = ((1, tuple(vector(d) for _ in range(rng.randint(1, d - 1)))),)
+        try:
+            return FlagPoint(field, d, steps)
+        except ValueError:
+            continue
 
 
 def random_hodge_table(rng):

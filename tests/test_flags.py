@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hodgescreen import (
     DenominatorVanishes,
@@ -13,12 +14,24 @@ from hodgescreen import (
     QQ,
     gaussian_field,
     normalize_chart,
+    rank,
     trdeg,
 )
-from hodgescreen.flags import is_maximal_transcendence, jacobian_matrix
+from hodgescreen.flags import (
+    _FAST_PATH_RANGE,
+    evaluated_jacobian,
+    is_maximal_transcendence,
+    jacobian_matrix,
+)
 from hodgescreen.grading import CocharGrading
 
-from support import oracle_trdeg, random_poly_flag
+from support import (
+    oracle_chart,
+    oracle_trdeg,
+    random_poly_flag,
+    random_span_flag,
+    ratfunc_to_sympy,
+)
 
 
 def field_over_q(*names):
@@ -87,6 +100,87 @@ def test_normalize_chart_picks_the_first_pivot_block():
     )
     # rows 0,1 already form the identity block; row 2 is the chart
     assert normalize_chart(flag) == [t1 * t1, t1]
+
+
+@pytest.mark.parametrize("two_steps", [False, True])
+def test_normalize_chart_matches_the_minor_search_oracle(two_steps):
+    rng = random.Random(5150 + two_steps)
+    off_top = 0
+    for _ in range(10):
+        flag = random_span_flag(rng, two_steps)
+        syms = tuple(sympy.Symbol(n) for n in flag.field.names)
+        coords = normalize_chart(flag)
+        expected = oracle_chart(flag)
+        assert len(coords) == len(expected)
+        for ours, theirs in zip(coords, expected):
+            assert sympy.cancel(ratfunc_to_sympy(ours, syms) - theirs) == 0
+        off_top += any(rank(flag._matrix(v).submatrix(range(len(v)))) < len(v)
+                       for _p, v in flag.steps)
+    assert off_top  # some charts do not sit on the top rows
+
+
+def test_evaluated_rows_match_sympy_jacobian_at_the_point():
+    rng = random.Random(8080)
+    checked = vanished = 0
+    for _ in range(16):
+        flag = random_span_flag(rng, rng.random() < 0.4)
+        coords = normalize_chart(flag)
+        syms = tuple(sympy.Symbol(n) for n in flag.field.names)
+        jac = sympy.Matrix([ratfunc_to_sympy(c, syms) for c in coords]).jacobian(syms)
+        jac = jac.applyfunc(sympy.cancel)
+        for _ in range(3):
+            point = [Fraction(rng.randint(-3, 3)) for _ in syms]
+            at = dict(zip(syms, (sympy.Rational(x.numerator, x.denominator) for x in point)))
+            poles = any(sympy.fraction(entry)[1].subs(at) == 0 for entry in jac)
+            try:
+                rows = evaluated_jacobian(coords, flag.field, point)
+            except DenominatorVanishes:
+                assert poles
+                vanished += 1
+                continue
+            assert not poles
+            expected = jac.subs(at)
+            assert [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                    for row in rows] == expected.tolist()
+            checked += 1
+    assert checked and vanished
+
+
+def test_a_vanishing_denominator_moves_the_certificate_to_the_next_draw():
+    seed = 2026
+    draws = random.Random(seed)
+    first = draws.randint(-_FAST_PATH_RANGE, _FAST_PATH_RANGE)
+    second = draws.randint(-_FAST_PATH_RANGE, _FAST_PATH_RANGE)
+    f = field_over_q("t1")
+    t1 = f.gen("t1")
+    flag = line_flag(f, (f.one(), f.one() / (t1 - first)))
+    result = trdeg(flag, seed=seed)
+    assert result.value == 1
+    assert result.certificate["point"] == (Fraction(second),)
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 2), (4, 2, 3)])
+def test_seeded_trdeg_of_a_generic_flag_within_budget(shape):
+    # the seeded route evaluates the Jacobian instead of building it; when
+    # it built the symbolic Jacobian first, these took about 5.5 s and 24 s
+    # (2 cores, Python 3.11.7), against about 1.3 s and 0.3 s now
+    d, s, k = shape
+    rng = random.Random(1)
+    f = FunctionField(QQ, tuple(f"t{i + 1}" for i in range(k)))
+
+    def form():
+        total = f.coerce(rng.randint(-3, 3))
+        for g in f.gens():
+            total = total + rng.choice((-3, -2, -1, 1, 2, 3)) * g
+        return total
+
+    flag = FlagPoint(f, d, ((1, tuple(tuple(form() for _ in range(d)) for _ in range(s))),))
+    start = time.monotonic()
+    result = trdeg(flag, seed=3)
+    elapsed = time.monotonic() - start
+    assert result.value == k
+    assert result.certificate["evaluated_rank"] == k
+    assert elapsed < 5.0, f"took {elapsed:.3f}s, budget 5s"
 
 
 def test_trdeg_counts_independent_parameters():

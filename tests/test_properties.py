@@ -1,5 +1,5 @@
 """Property tests: ring axioms, gcd normalization, canonical reduced
-pairs, chart invariance."""
+pairs, chart invariance, weight-block grading."""
 
 import random
 from fractions import Fraction
@@ -8,11 +8,11 @@ import sympy
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from hodgescreen import FlagPoint, FunctionField, QQ, normalize_chart
+from hodgescreen import FlagPoint, FunctionField, HodgeCocharacter, QQ, grade, normalize_chart
 from hodgescreen.polys import Poly, PolyRing, divexact, poly_gcd
 from hodgescreen.ratfunc import RatFunc
 
-from support import poly_to_sympy, random_poly_flag
+from support import oracle_levels, poly_to_sympy, random_classical_instance, random_poly_flag
 
 NAMES = ("t1", "t2")
 RING = PolyRing(QQ, NAMES)
@@ -113,3 +113,12 @@ def test_chart_coordinates_depend_only_on_the_span(flag_seed, entries):
     )
     moved = FlagPoint(flag.field, flag.ambient_dim, ((p, mixed),))
     assert normalize_chart(moved) == normalize_chart(flag)
+
+
+@seed(20261024)
+@SMALL
+@given(st.randoms(use_true_random=False))
+def test_weight_block_grading_matches_the_eigenvalue_oracle(rng):
+    algebra, lam = random_classical_instance(rng, max_ambient=6)
+    levels = dict(grade(algebra, HodgeCocharacter(lam)).sorted_levels())
+    assert levels == oracle_levels(algebra, lam)

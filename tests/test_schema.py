@@ -382,6 +382,55 @@ def test_exponents_above_the_cap_are_rejected_before_evaluation():
     )
 
 
+def test_nested_powers_are_capped_by_their_product():
+    class NoPower:
+        def __pow__(self, n):
+            raise AssertionError("a power was evaluated")
+
+    env, field = entry_env()
+    t1 = env["t1"]
+    assert parse_entry("((t1 + 1)**2)**3", env, field) == (t1 + 1) ** 6
+    for text, total in (("((t1 + 1)**64)**64", 4096), ("((t1 + 1)**8)**9", 72),
+                        ("-(2 * (t1 + 1)**2)**33", 66), ("((t1**2)**2)**17", 68)):
+        with pytest.raises(ValueError, match=f"multiply to {total}, above the cap of 64"):
+            parse_entry(text, {"t1": NoPower()}, field)
+    with pytest.raises(ValueError, match="exponent 100 is above the cap"):
+        parse_entry("(t1**100)**0", {"t1": NoPower()}, field)
+    doc = flag_doc()
+    doc["flag_point"]["steps"] = [{"p": 1, "basis": [["1", "((t1 + 1)**64)**64"]]}]
+    assert problems_of(doc) == (
+        "flag_point/steps/0/basis/0/1: nested exponents multiply to 4096, "
+        "above the cap of 64"
+    )
+
+
+def test_integral_floats_are_rejected_with_their_path(capsys, tmp_path):
+    cases = (
+        (("group", "n"), "group/n"),
+        (("cocharacter", "lambda", 0), "cocharacter/lambda/0"),
+        (("hodge_numbers", "weight"), "hodge_numbers/weight"),
+        (("hodge_numbers", "dims", 1, 2), "hodge_numbers/dims/1/2"),
+        (("flag_point", "steps", 0, "p"), "flag_point/steps/0/p"),
+        (("flag_point", "steps", 0, "basis", 0, 0), "flag_point/steps/0/basis/0/0"),
+    )
+    for where, path in cases:
+        doc = flag_doc()
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = float(node[where[-1]])
+        assert problems_of(doc) == f"{path}: {node[where[-1]]!r} is a float, not an integer"
+    doc = base_doc()
+    doc["trdeg_override"] = 1.0
+    assert problems_of(doc) == "trdeg_override: 1.0 is a float, not an integer"
+    doc = base_doc()
+    doc["group"]["n"] = 2.0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["screen", str(spec)]) == 2
+    assert capsys.readouterr().err == "spec error: group/n: 2.0 is a float, not an integer\n"
+
+
 def test_flag_entry_problems_carry_their_position():
     doc = flag_doc()
     doc["flag_point"]["steps"] = [{"p": 1, "basis": [["1", "t9"]]}]
