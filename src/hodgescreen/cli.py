@@ -1,11 +1,12 @@
 """Command-line frontend.
 
 Subcommands: invariants, screen, trdeg, hodge, lie-check.  Input is a
-strict-JSON spec document (see specs/schema.json); reports go to
-standard output, diagnostics to standard error.  Exit codes partition
-the outcomes: 0 nothing screened out, 10 screened out, 2 input invalid,
-3 input valid but mathematically malformed.  Repeated runs on the same
-input are byte-identical, in text and in JSON mode alike.
+strict-JSON spec document (see src/hodgescreen/spec_schema.json);
+reports go to standard output, diagnostics to standard error.  Exit
+codes partition the outcomes: 0 nothing screened out, 10 screened out,
+2 input invalid, 3 input valid but mathematically malformed.  Repeated
+runs on the same input are byte-identical, in text and in JSON mode
+alike.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _trdeg_section(doc: SpecDocument, seed):
     if doc.flag is not None:
         result = trdeg(doc.flag, seed=seed)
         warnings = [_INDEPENDENCE_NOTE] if result.params else []
-        return rp.trdeg_json(result, seed, "flag_point"), result.value, warnings
+        return rp.trdeg_json(result, seed), result.value, warnings
     if doc.trdeg_override is not None:
         return rp.override_json(doc.trdeg_override), doc.trdeg_override, []
     raise SpecValidationError(
@@ -154,7 +155,7 @@ def cmd_trdeg(args) -> int:
         raise SpecValidationError("trdeg needs a flag_point section with coordinates")
     result = trdeg(doc.flag, seed=args.seed)
     payload = _common_payload("trdeg", args.spec, doc)
-    payload["trdeg"] = rp.trdeg_json(result, args.seed, "flag_point")
+    payload["trdeg"] = rp.trdeg_json(result, args.seed)
     payload["warnings"] = [_INDEPENDENCE_NOTE] if result.params else []
     payload["exit_code"] = 0
     _emit(payload, args)

@@ -34,7 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
-from .intervals import Interval, Rectangle, certify_isolating, newton_step, poly_derivative
+from .intervals import Interval, Rectangle, certify_isolating, eval_poly_rect
+from .intervals import newton_step, poly_derivative
 from .irreducible import _poly_xgcd, _strip, is_irreducible_over_q
 
 _SIGN_BUDGET = 96
@@ -271,7 +272,7 @@ class NumberField:
         self._conj_image = sigma_theta
         mirror = self._rect.conj()
         for _ in range(_SIGN_BUDGET):
-            enclosure = self._enclose_coords(sigma_theta.coords)
+            enclosure = self.enclosure(sigma_theta)
             if enclosure.re.hi < mirror.re.lo or enclosure.re.lo > mirror.re.hi or \
                enclosure.im.hi < mirror.im.lo or enclosure.im.lo > mirror.im.hi:
                 self._conj_image = None
@@ -344,14 +345,8 @@ class NumberField:
         refined, _ = newton_step(self.minpoly, self._deriv, self._rect)
         self._rect = refined
 
-    def _enclose_coords(self, coords) -> Rectangle:
-        acc = Rectangle.point(0)
-        for c in reversed(coords):
-            acc = acc * self._rect + Rectangle.point(c)
-        return acc
-
     def enclosure(self, x: NumberFieldElement) -> Rectangle:
-        return self._enclose_coords(x.coords)
+        return eval_poly_rect(x.coords, self._rect)
 
     def _sign_of(self, x: NumberFieldElement, component: str) -> int:
         """Sign of the real or imaginary part of x under the embedding.

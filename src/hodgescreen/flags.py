@@ -176,7 +176,6 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
         return TrdegResult(value=0, chart_coordinates=coords, params=())
     max_possible = min(len(coords), k)
     certificate = None
-    evaluated = None
     if seed is not None:
         rng = random.Random(seed)
         point = None
@@ -193,16 +192,17 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
                 f"no evaluation point avoided the denominators in {_FAST_PATH_RETRIES} draws"
             )
         evaluated = rank(ExactMatrix(flag.field.base, rows))
+        certificate = {"seed": seed, "point": tuple(point), "evaluated_rank": evaluated}
         if evaluated == max_possible:
             return TrdegResult(
                 value=evaluated,
                 chart_coordinates=coords,
                 params=flag.field.names,
-                certificate={"seed": seed, "point": tuple(point), "evaluated_rank": evaluated},
+                certificate=certificate,
             )
     value = rank(jacobian_matrix(coords, flag.field))
-    if seed is not None and evaluated == value:
-        certificate = {"seed": seed, "point": tuple(point), "evaluated_rank": evaluated}
+    if certificate is not None and certificate["evaluated_rank"] != value:
+        certificate = None
     return TrdegResult(
         value=value,
         chart_coordinates=coords,

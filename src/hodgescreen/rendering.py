@@ -41,19 +41,19 @@ def invariants_json(rep: InvariantReport) -> dict:
     }
 
 
-def trdeg_json(result, seed, source: str) -> dict:
+def trdeg_json(result, seed) -> dict:
     certificate = None
-    if result is not None and result.certificate is not None:
+    if result.certificate is not None:
         certificate = {
             "seed": result.certificate["seed"],
             "point": [scalar_json(x) for x in result.certificate["point"]],
             "evaluated_rank": result.certificate["evaluated_rank"],
         }
     return {
-        "value": result.value if result is not None else None,
-        "source": source,
-        "params": list(result.params) if result is not None else [],
-        "chart_length": len(result.chart_coordinates) if result is not None else 0,
+        "value": result.value,
+        "source": "flag_point",
+        "params": list(result.params),
+        "chart_length": len(result.chart_coordinates),
         "seed": seed,
         "certificate": certificate,
     }

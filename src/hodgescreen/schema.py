@@ -8,20 +8,20 @@ entries are exact: JSON integers, "a/b" strings, or (where expressions
 are allowed) strings over the declared parameter names.  Floats are
 never accepted.
 
-Validation is two-phase.  The structural pass checks the document
-against SPEC_SCHEMA (the JSON Schema also shipped as specs/schema.json)
-with `jsonshape`, and reports every shape problem with its JSON path,
-in jsonschema's words and order; jsonschema itself is only the test
-suite's oracle.  A shape-valid document then has every float where the
-schema asks for an integer reported too (JSON Schema counts 2.0 as an
-integer; this tool does not).  Sizes are capped: group.n at 16, minpoly
-degree at 16, literal exponents, and their products through nested
-powers, at MAX_EXPONENT.  The semantic pass then builds the
-actual objects and cross-checks the sections against each other (lambda
-length vs ambient dimension, lambda multiset vs the Hodge table, flag
-step dimensions vs the filtration profile).  All collected problems
-surface in one SpecValidationError.  Mathematical failures that only a
-computation can detect (a basis not closed under bracket) stay
+Validation is two-phase.  The structural pass checks the document against
+SPEC_SCHEMA, read at import from src/hodgescreen/spec_schema.json (its
+key order is the order of the problems at one path), with `jsonshape`,
+and reports every shape problem with its JSON path, in jsonschema's words
+and order; jsonschema is only the tests' oracle.  A shape-valid document
+then has every float where the schema asks for an integer reported too
+(JSON Schema counts 2.0 as an integer; this tool does not).  Sizes are
+capped: group.n at 16, minpoly degree at 16, literal exponents, and their
+products through nested powers, at MAX_EXPONENT.  The semantic pass then
+builds the actual objects and cross-checks the sections against each
+other (lambda length vs ambient dimension, lambda multiset vs the Hodge
+table, flag step dimensions vs the filtration profile).  All collected
+problems surface in one SpecValidationError.  Mathematical failures that
+only a computation can detect (a basis not closed under bracket) stay
 MathDomainError and are not converted.
 """
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 import json
 import keyword
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,150 +41,14 @@ from .grading import HodgeCocharacter
 from .hodge import HodgeNumbers, PolarizationForm, filtration_dims
 from .intervals import Interval, Rectangle
 from .jsonshape import integral_floats, shape_problems
-from .lie import CLASSICAL_KINDS, MatLieAlgebra, make_classical
+from .lie import MatLieAlgebra, make_classical
 from .ratfunc import FunctionField
 from .verdicts import ConjectureSet
 
-_RATIONAL = {"anyOf": [{"type": "integer"}, {"type": "string", "minLength": 1}]}
-_ENTRY = _RATIONAL  # expressions ride in strings as well
-_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": _RATIONAL},
-}
-
-_GROUP = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind", "n"],
-    "properties": {
-        "kind": {"enum": list(CLASSICAL_KINDS) + ["custom"]},
-        "n": {"type": "integer", "minimum": 1, "maximum": 16},
-        "form": _MATRIX,
-        "basis": {"type": "array", "minItems": 1, "items": _MATRIX},
-    },
-}
-
-SPEC_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "hodgescreen spec document",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["group", "cocharacter", "hodge_numbers", "conjectures"],
-    "properties": {
-        "group": _GROUP,
-        "cocharacter": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["lambda"],
-            "properties": {
-                "lambda": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "integer"},
-                },
-            },
-        },
-        "hodge_numbers": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["weight", "dims"],
-            "properties": {
-                "weight": {"type": "integer"},
-                "dims": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 3,
-                        "maxItems": 3,
-                        "items": {"type": "integer"},
-                    },
-                },
-            },
-        },
-        "flag_point": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["params", "steps"],
-            "properties": {
-                "params": {
-                    "type": "array",
-                    "items": {"type": "string", "minLength": 1},
-                },
-                "field": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["name", "minpoly", "embedding"],
-                    "properties": {
-                        "name": {"type": "string", "minLength": 1},
-                        "minpoly": {
-                            "type": "array",
-                            "minItems": 3,
-                            "maxItems": 17,
-                            "items": _RATIONAL,
-                        },
-                        "embedding": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {
-                                "type": "array",
-                                "minItems": 2,
-                                "maxItems": 2,
-                                "items": _RATIONAL,
-                            },
-                        },
-                        "conjugate_image": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": _RATIONAL,
-                        },
-                    },
-                },
-                "steps": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["p", "basis"],
-                        "properties": {
-                            "p": {"type": "integer"},
-                            "basis": {
-                                "type": "array",
-                                "minItems": 1,
-                                "items": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": _ENTRY,
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "polarization": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["matrix"],
-            "properties": {"matrix": _MATRIX},
-        },
-        "conjectures": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["motivated", "gpc", "ggpc"],
-            "properties": {
-                "motivated": {"type": "boolean"},
-                "gpc": {"type": "boolean"},
-                "ggpc": {"type": "boolean"},
-            },
-        },
-        "gand_group": _GROUP,
-        "trdeg_override": {"type": "integer", "minimum": 0},
-    },
-}
+# Key order is behaviour: the problems at one JSON path come in keyword order.
+with open(os.path.join(os.path.dirname(__file__), "spec_schema.json"),
+          encoding="utf-8") as _handle:
+    SPEC_SCHEMA = json.load(_handle)
 
 
 # -- exact expression entries --------------------------------------------------
@@ -455,8 +320,6 @@ def parse_document(raw: dict) -> SpecDocument:
                 cochar = HodgeCocharacter(weights, declared_numbers=numbers)
             except ValueError as exc:
                 problems.append(f"cocharacter: {exc}")
-    if cochar is None and not problems:
-        cochar = HodgeCocharacter(weights)
 
     if (algebra is not None and numbers is not None
             and algebra.ambient_dim != numbers.total_dim()):
@@ -480,7 +343,7 @@ def parse_document(raw: dict) -> SpecDocument:
     if "polarization" in raw and numbers is not None:
         matrix = raw["polarization"]["matrix"]
         try:
-            if numbers is not None and len(matrix) != numbers.total_dim():
+            if len(matrix) != numbers.total_dim():
                 raise ValueError(
                     f"matrix is {len(matrix)} x {len(matrix[0])} but the "
                     f"structure has dimension {numbers.total_dim()}"

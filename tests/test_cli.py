@@ -161,6 +161,22 @@ def test_spec_errors_go_to_stderr_with_exit_2(tmp_path):
     assert len(lines) >= 2  # lambda length and table total
 
 
+def test_spec_errors_at_one_path_come_in_schema_key_order(tmp_path):
+    doc = {
+        "group": {"kind": "gsp", "n": 0.5},
+        "cocharacter": {"lambda": [1, 0]},
+        "hodge_numbers": {"weight": 1, "dims": [[1, 0, 1], [0, 1, 1]]},
+        "conjectures": {"motivated": True, "gpc": False, "ggpc": True},
+    }
+    proc = run("screen", spec_text=doc, tmp_path=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "spec error: group/n: 0.5 is not of type 'integer'\n"
+        "spec error: group/n: 0.5 is less than the minimum of 1\n"
+    )
+
+
 def test_math_errors_exit_3_with_the_offending_pair(tmp_path):
     doc = {
         "group": {
