@@ -7,11 +7,22 @@ contract is the caller's, and reports surface it as a reminder.
 
 normalize_chart puts every step into the affine chart of its
 Grassmannian determined by the lexicographically first nonsingular
-maximal minor: one rref of the step's basis vectors, taken as rows,
-turns the basis M into (M B^{-1})^T with B the pivot rows, so the pivot
-columns read as the identity and the remaining entries are canonical
-coordinates of the subspace.  They depend only on the span, not on the
-basis, which is what makes the transcendence degree well-defined.
+maximal minor B of the basis matrix M: the entries of M B^{-1} outside
+the identity block are canonical coordinates of the subspace.  They
+depend only on the span, not on the basis, which is what makes the
+transcendence degree well-defined.  Each entry is a Cramer ratio of two
+maximal minors, and one fraction-free Gauss-Jordan elimination over
+Q(theta)[t] (linalg.fraction_free_rref) produces all of them at once:
+after its step k every entry is a (k+1)-minor of the input up to sign,
+so every division in it is exact, and at the end the pivot entry of
+every row is the same s-minor.  So no gcd runs during the elimination,
+and each coordinate costs one, when the ratio is reduced.  The
+elimination needs polynomial rows, so each basis vector is first
+scaled by the product of its distinct non-unit denominators.  Scaling
+a basis vector by a nonzero polynomial keeps the span, and with it the
+pivot columns and the chart.  The FlagPoint checks (independence of
+each step, containment of each step in the next) are the pivot counts
+of the same elimination.
 
 trdeg is the rank of the Jacobian of those coordinates with respect to
 the parameters, a field-theoretic transcendence degree by the Jacobian
@@ -27,36 +38,32 @@ it is the answer and no symbolic elimination runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DenominatorVanishes
 # inverse is unused here; perfbench/spans.py patches flags.inverse
-from .linalg import ExactMatrix, inverse, rank, rref
+from .linalg import ExactMatrix, fraction_free_rref, inverse, rank
 from .ratfunc import FunctionField, RatFunc
 
 _FAST_PATH_RETRIES = 32
 _FAST_PATH_RANGE = 999983
 
 
-@dataclass(frozen=True)
 class FlagPoint:
     """Nested subspaces of the d-dimensional ambient space, by p descending."""
 
-    field: FunctionField
-    ambient_dim: int
-    steps: tuple  # ((p, (vector, ...)), ...), each vector a tuple of RatFunc
+    __slots__ = ("field", "ambient_dim", "steps")
 
-    def __post_init__(self):
-        d = self.ambient_dim
-        steps = []
+    def __init__(self, field: FunctionField, ambient_dim: int, steps: tuple):
+        # steps: ((p, (vector, ...)), ...), each vector a tuple of RatFunc
+        self.field = field
+        self.ambient_dim = d = ambient_dim
+        checked = []
         previous_p = None
         previous_size = 0
-        for p, vectors in self.steps:
+        for p, vectors in steps:
             p = int(p)
-            vectors = tuple(
-                tuple(self.field.coerce(x) for x in v) for v in vectors
-            )
+            vectors = tuple(tuple(field.coerce(x) for x in v) for v in vectors)
             if any(len(v) != d for v in vectors):
                 raise ValueError(f"step p={p}: vectors must have length {d}")
             if not vectors:
@@ -67,57 +74,93 @@ class FlagPoint:
                 if len(vectors) <= previous_size:
                     raise ValueError("step dimensions must strictly grow as p drops")
             previous_p, previous_size = p, len(vectors)
-            steps.append((p, vectors))
-        object.__setattr__(self, "steps", tuple(steps))
+            checked.append((p, vectors))
+        self.steps = tuple(checked)
         for (p_hi, vec_hi), (p_lo, vec_lo) in zip(self.steps, self.steps[1:]):
-            lower = self._matrix(vec_lo)
-            if rank(lower) != lower.ncols:
+            if _rank(vec_lo, d) != len(vec_lo):
                 raise ValueError(f"step p={p_lo} basis is not linearly independent")
-            stacked = lower.hstack(self._matrix(vec_hi))
-            if rank(stacked) != lower.ncols:
+            if _rank(vec_lo + vec_hi, d) != len(vec_lo):
                 raise ValueError(f"F^{p_hi} is not contained in F^{p_lo}")
         if self.steps:
-            first = self._matrix(self.steps[0][1])
-            if rank(first) != first.ncols:
-                raise ValueError(
-                    f"step p={self.steps[0][0]} basis is not linearly independent"
-                )
-
-    def _matrix(self, vectors) -> ExactMatrix:
-        return ExactMatrix.from_columns(self.field, vectors, nrows=self.ambient_dim)
+            p, first = self.steps[0]
+            if _rank(first, d) != len(first):
+                raise ValueError(f"step p={p} basis is not linearly independent")
 
     @property
     def params(self):
         return self.field.names
 
 
+def _poly_rows(vectors) -> list:
+    """The vectors as rows of Poly, each scaled by the product of its
+    distinct non-unit denominators (a multiple of each of them, found
+    without a gcd).  Scaling a row by a nonzero polynomial keeps its span
+    and the rank of every set of columns, so it changes neither the row
+    space nor the pivot columns."""
+    rows = []
+    for v in vectors:
+        dens = []
+        for x in v:
+            if not x.den.is_constant() and x.den not in dens:
+                dens.append(x.den)
+        row = []
+        for x in v:
+            num = x.num
+            if num.terms:
+                for den in dens:
+                    if den != x.den:
+                        num = num * den
+            row.append(num)
+        rows.append(row)
+    return rows
+
+
+def _rank(vectors, d: int) -> int:
+    return len(fraction_free_rref(_poly_rows(vectors), d))
+
+
 def normalize_chart(flag: FlagPoint):
     """Canonical affine-chart coordinates of every step, concatenated.
 
-    For each step, one rref of the s x d matrix whose rows are the basis
-    vectors.  Its pivot columns are the greedy, hence lexicographically
-    first, set of rows of the d x s basis matrix M whose maximal minor B
-    is nonsingular (the independent sets of a matrix form a matroid),
-    and the reduced matrix is (M B^{-1})^T.  For every non-pivot row i
-    of M, in order, emit entry i of each reduced row: the row-major
-    entries of M B^{-1} outside the identity block.
+    For each step, one fraction-free elimination (linalg.
+    fraction_free_rref) of the s x d matrix whose rows are the basis
+    vectors, each scaled by the product of its distinct non-unit
+    denominators.  Its pivot columns are the greedy, hence
+    lexicographically first, set of rows of the d x s basis matrix M
+    whose maximal minor B is nonsingular (the independent sets of a
+    matrix form a matroid).  Every row ends with the same pivot entry,
+    the minor of the scaled rows at the pivot columns up to sign, and
+    entry i of row r over it is entry (i, r) of M B^{-1}, a Cramer
+    ratio.  For every non-pivot row i of M, in order, emit entry i of
+    each row over the pivot entry, reduced by one gcd: the row-major
+    entries of M B^{-1} outside the identity block.  The scaling
+    multiplies the columns of M by nonzero polynomials, a change of
+    basis of the same span, so it changes neither M B^{-1} nor the
+    pivot columns.
     """
+    field = flag.field
     coords = []
     for _p, vectors in flag.steps:
-        reduced, pivots = rref(ExactMatrix(flag.field, vectors))
+        rows = _poly_rows(vectors)
+        pivots = fraction_free_rref(rows, flag.ambient_dim)
         pivot_set = set(pivots)
         for i in range(flag.ambient_dim):
             if i not in pivot_set:
-                coords.extend(row[i] for row in reduced.rows)
+                coords.extend(
+                    RatFunc(field, row[i], row[pivot]) for row, pivot in zip(rows, pivots)
+                )
     return coords
 
 
-@dataclass(frozen=True)
 class TrdegResult:
-    value: int
-    chart_coordinates: tuple
-    params: tuple
-    certificate: dict | None = None
+    __slots__ = ("value", "chart_coordinates", "params", "certificate")
+
+    def __init__(self, value: int, chart_coordinates: tuple, params: tuple,
+                 certificate: dict | None = None):
+        self.value = value
+        self.chart_coordinates = chart_coordinates
+        self.params = params
+        self.certificate = certificate
 
 
 def jacobian_matrix(coords, field: FunctionField) -> ExactMatrix:

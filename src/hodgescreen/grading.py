@@ -29,15 +29,12 @@ weight k: one small rank per weight that occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IncompleteGrading
 from .hodge import HodgeNumbers
 from .lie import MatLieAlgebra, adjoint_of_diagonal
 from .linalg import rank
 
 
-@dataclass(frozen=True)
 class HodgeCocharacter:
     """Integer weight vector of the cocharacter on a Hodge basis.
 
@@ -46,14 +43,13 @@ class HodgeCocharacter:
     with multiplicity h^{p,q}; the constructor enforces that.
     """
 
-    weights: tuple
-    declared_numbers: HodgeNumbers | None = None
+    __slots__ = ("weights", "declared_numbers")
 
-    def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if self.declared_numbers is not None:
-            expected = sorted(self.declared_numbers.p_multiset())
+    def __init__(self, weights: tuple, declared_numbers: HodgeNumbers | None = None):
+        self.weights = weights = tuple(int(w) for w in weights)
+        self.declared_numbers = declared_numbers
+        if declared_numbers is not None:
+            expected = sorted(declared_numbers.p_multiset())
             if sorted(weights) != expected:
                 raise ValueError(
                     f"cocharacter weights {sorted(weights)} do not match the "
@@ -68,22 +64,21 @@ class HodgeCocharacter:
         return HodgeCocharacter(tuple(w + c for w in self.weights))
 
 
-@dataclass(frozen=True)
 class CocharGrading:
     """Dimension profile {k: dim g_k} of the adjoint grading."""
 
-    algebra_dim: int
-    levels: dict = field(default_factory=dict)
+    __slots__ = ("algebra_dim", "levels")
 
-    def __post_init__(self):
-        levels = {int(k): int(d) for k, d in self.levels.items() if int(d) != 0}
+    def __init__(self, algebra_dim: int, levels: dict | None = None):
+        levels = {int(k): int(d) for k, d in (levels or {}).items() if int(d) != 0}
         if any(d < 0 for d in levels.values()):
             raise ValueError("negative level dimension")
-        object.__setattr__(self, "levels", levels)
-        if sum(levels.values()) != self.algebra_dim:
+        self.algebra_dim = algebra_dim
+        self.levels = levels
+        if sum(levels.values()) != algebra_dim:
             raise IncompleteGrading(
                 f"levels sum to {sum(levels.values())}, algebra dimension is "
-                f"{self.algebra_dim}"
+                f"{algebra_dim}"
             )
 
     def level(self, k: int) -> int:
@@ -121,15 +116,19 @@ def is_shimura_type(grading: CocharGrading) -> bool:
     return all(k in (-1, 0, 1) for k in grading.levels)
 
 
-@dataclass(frozen=True)
 class InvariantReport:
-    dim_g: int
-    flag_dim: int
-    hcodim: int
-    g_minus_one_dim: int
-    shimura_type: bool
-    symmetric_grading: bool
-    levels: tuple
+    __slots__ = ("dim_g", "flag_dim", "hcodim", "g_minus_one_dim",
+                 "shimura_type", "symmetric_grading", "levels")
+
+    def __init__(self, dim_g: int, flag_dim: int, hcodim: int, g_minus_one_dim: int,
+                 shimura_type: bool, symmetric_grading: bool, levels: tuple):
+        self.dim_g = dim_g
+        self.flag_dim = flag_dim
+        self.hcodim = hcodim
+        self.g_minus_one_dim = g_minus_one_dim
+        self.shimura_type = shimura_type
+        self.symmetric_grading = symmetric_grading
+        self.levels = levels
 
     @staticmethod
     def from_grading(grading: CocharGrading) -> "InvariantReport":

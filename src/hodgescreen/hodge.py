@@ -33,7 +33,6 @@ designated embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -169,7 +168,6 @@ def filtration_dims(numbers: HodgeNumbers):
 # -- realized structures -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RealizedHodgeStructure:
     """A filtration with actual coordinates over Q or Q(theta).
 
@@ -178,10 +176,14 @@ class RealizedHodgeStructure:
     decomposition is filled in by realize_and_validate.
     """
 
-    field: object
-    numbers: HodgeNumbers
-    steps: tuple
-    decomposition: dict | None = None
+    __slots__ = ("field", "numbers", "steps", "decomposition")
+
+    def __init__(self, field, numbers: HodgeNumbers, steps: tuple,
+                 decomposition: dict | None = None):
+        self.field = field
+        self.numbers = numbers
+        self.steps = steps
+        self.decomposition = decomposition
 
     @property
     def dim(self) -> int:
@@ -283,31 +285,32 @@ def realize_and_validate(structure: RealizedHodgeStructure) -> RealizedHodgeStru
 # -- polarization --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PolarizationForm:
     """Rational bilinear form, (-1)^weight symmetric."""
 
-    weight: int
-    matrix: ExactMatrix
+    __slots__ = ("weight", "matrix")
 
-    def __post_init__(self):
-        m = self.matrix
+    def __init__(self, weight: int, matrix: ExactMatrix):
+        m = matrix
         if not isinstance(m, ExactMatrix):
             m = ExactMatrix(QQ, [[parse_rational(x) for x in row] for row in m])
-            object.__setattr__(self, "matrix", m)
+        self.weight = weight
+        self.matrix = m
         if m.nrows != m.ncols:
             raise ValueError("polarization form must be square")
-        sign = -1 if self.weight % 2 else 1
+        sign = -1 if weight % 2 else 1
         if m.transpose() != m * Fraction(sign):
             kind = "antisymmetric" if sign < 0 else "symmetric"
-            raise ValueError(f"weight {self.weight} polarization must be {kind}")
+            raise ValueError(f"weight {weight} polarization must be {kind}")
 
 
-@dataclass(frozen=True)
 class PolarizationResult:
-    status: str  # valid | morphism_fails | positivity_fails
-    detail: str = ""
-    witness: object = None  # Fraction when the failing value is rational
+    __slots__ = ("status", "detail", "witness")
+
+    def __init__(self, status: str, detail: str = "", witness=None):
+        self.status = status  # valid | morphism_fails | positivity_fails
+        self.detail = detail
+        self.witness = witness  # Fraction when the failing value is rational
 
     @property
     def is_valid(self) -> bool:

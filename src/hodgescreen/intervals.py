@@ -17,7 +17,6 @@ more precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
@@ -26,16 +25,19 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi] with rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        return isinstance(other, Interval) and (self.lo, self.hi) == (other.lo, other.hi)
 
     @staticmethod
     def point(x) -> "Interval":
@@ -101,12 +103,18 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned rectangle re + i*im in the complex plane."""
 
-    re: Interval
-    im: Interval
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Interval, im: Interval):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        # NumberField equality compares the initial isolating rectangles
+        return isinstance(other, Rectangle) and (self.re, self.im) == (other.re, other.im)
 
     @staticmethod
     def point(re, im=0) -> "Rectangle":

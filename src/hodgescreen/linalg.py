@@ -13,11 +13,18 @@ Everything downstream (Lie algebra construction, adjoint gradings,
 Hodge-piece intersections, Jacobian ranks) reduces to rank / kernel /
 solve calls on these matrices.
 
+fraction_free_rref is the one exception: it works on rows of
+polynomials, without a field and without the size metric, for the flag
+charts and their checks, where every division by a rational function
+would cost a polynomial gcd.
+
 INPUT conventions: a matrix is rows of field elements; vectors are
 tuples; kernel_basis returns right-kernel vectors v with M v = 0.
 """
 
 from __future__ import annotations
+
+from .polys import divexact
 
 
 class ExactMatrix:
@@ -177,6 +184,69 @@ def _eliminate(field, rows, ncols, reduced: bool):
                 continue
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def fraction_free_rref(rows, ncols) -> list:
+    """In-place fraction-free Gauss-Jordan elimination (Bareiss) on a
+    list of row lists of Poly; returns the list of pivot columns.
+
+    Each step takes a nonzero pivot p in the next column (the one with
+    the fewest terms) and replaces every entry a outside the pivot row
+    by (p a - b c) / prev, with b the entry in a's row and the pivot
+    column, c the entry in the pivot row and a's column, and prev the
+    previous pivot (one before the first step).  Up to sign, once k
+    pivots are taken, every entry of the pivot rows is a k-minor of the
+    input on those rows, and every other entry is a (k+1)-minor on the
+    pivot rows and its own row; the columns are the pivot columns with
+    the entry's own column put in (in a pivot row, in place of the
+    row's pivot column).  By Sylvester's identity, as in Bareiss (1968),
+    every division is then exact, and divexact raises if one is not.
+    So nothing leaves the polynomial ring, and no gcd runs.  At the end
+    the rows past the rank are zero and every pivot row has the last
+    pivot as its pivot entry: dividing by it gives the reduced row
+    echelon form, whose entries are therefore Cramer ratios.
+    """
+    pivots = []
+    prev = None
+    r = 0
+    for col in range(ncols):
+        best = None
+        for i in range(r, len(rows)):
+            terms = rows[i][col].terms
+            if terms and (best is None or len(terms) < len(rows[best][col].terms)):
+                best = i
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[col]
+        zero = p.ring.zero()
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            factor = row[col]
+            row[col] = zero
+            for j in range(ncols):
+                if j == col:
+                    continue
+                if i < r and j == pivots[i]:
+                    row[j] = p  # p * prev / prev
+                    continue
+                a = row[j]
+                c = pivot_row[j]
+                if factor.terms and c.terms:
+                    value = p * a - factor * c if a.terms else -(factor * c)
+                elif a.terms:
+                    value = p * a
+                else:
+                    continue
+                row[j] = value if prev is None else divexact(value, prev)
+        pivots.append(col)
+        prev = p
         r += 1
         if r == len(rows):
             break

@@ -273,19 +273,26 @@ def divexact(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("exact division by the zero polynomial")
     ring = a.ring
     field = ring.field
-    q = ring.zero()
-    r = a
     eb, cb = b.lex_leading()
-    while not r.is_zero():
-        er, cr = r.lex_leading()
+    rest = [(e, c) for e, c in b.terms.items() if e != eb]
+    q = {}
+    r = dict(a.terms)  # the remainder, updated in place
+    while r:
+        er = max(r)
         exp = tuple(x - y for x, y in zip(er, eb))
         if any(e < 0 for e in exp):
             raise ValueError("division is not exact")
-        c = cr / cb
-        t = Poly(ring, {exp: c})
-        q = q + t
-        r = r - t * b
-    return q
+        c = r.pop(er) / cb
+        q[exp] = c
+        for e, cv in rest:
+            key = tuple(x + y for x, y in zip(exp, e))
+            acc = r.get(key)
+            s = -(c * cv) if acc is None else acc - c * cv
+            if field.is_zero(s):
+                r.pop(key, None)
+            else:
+                r[key] = s
+    return Poly(ring, q)
 
 
 def pseudo_rem(a: Poly, b: Poly, var: int) -> Poly:

@@ -31,7 +31,6 @@ import ast
 import json
 import keyword
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SpecValidationError
@@ -140,18 +139,26 @@ def parse_entry(value, env: dict, field):
 
 # -- semantic document ----------------------------------------------------------
 
-@dataclass
 class SpecDocument:
-    raw: dict
-    algebra: MatLieAlgebra
-    cocharacter: HodgeCocharacter
-    numbers: HodgeNumbers
-    conjectures: ConjectureSet
-    flag: FlagPoint | None = None
-    flag_base_field: object = None
-    trdeg_override: int | None = None
-    polarization: PolarizationForm | None = None
-    gand_algebra: MatLieAlgebra | None = None
+    __slots__ = ("raw", "algebra", "cocharacter", "numbers", "conjectures", "flag",
+                 "flag_base_field", "trdeg_override", "polarization", "gand_algebra")
+
+    def __init__(self, raw: dict, algebra: MatLieAlgebra, cocharacter: HodgeCocharacter,
+                 numbers: HodgeNumbers, conjectures: ConjectureSet,
+                 flag: FlagPoint | None = None, flag_base_field=None,
+                 trdeg_override: int | None = None,
+                 polarization: PolarizationForm | None = None,
+                 gand_algebra: MatLieAlgebra | None = None):
+        self.raw = raw
+        self.algebra = algebra
+        self.cocharacter = cocharacter
+        self.numbers = numbers
+        self.conjectures = conjectures
+        self.flag = flag
+        self.flag_base_field = flag_base_field
+        self.trdeg_override = trdeg_override
+        self.polarization = polarization
+        self.gand_algebra = gand_algebra
 
     @property
     def has_flag_data(self) -> bool:

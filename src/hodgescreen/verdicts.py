@@ -29,8 +29,6 @@ motivic Galois group, the bound pair is computed on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IdentityViolation
 from .grading import InvariantReport
 
@@ -48,25 +46,28 @@ KINDS = ("not_from_geometry", "consistent", "shimura_violation",
          "maximal_transcendence", "bound")
 
 
-@dataclass(frozen=True)
 class ConjectureSet:
     """Explicit toggles for the conditional hypotheses."""
 
-    motivated: bool
-    gpc: bool
-    ggpc: bool
+    __slots__ = ("motivated", "gpc", "ggpc")
+
+    def __init__(self, motivated: bool, gpc: bool, ggpc: bool):
+        self.motivated = motivated
+        self.gpc = gpc
+        self.ggpc = ggpc
 
 
-@dataclass(frozen=True)
 class Verdict:
-    kind: str
-    payload: dict = field(default_factory=dict)
-    conditional_on: tuple = ()
-    narrative: str = ""
+    __slots__ = ("kind", "payload", "conditional_on", "narrative")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
+    def __init__(self, kind: str, payload: dict | None = None,
+                 conditional_on: tuple = (), narrative: str = ""):
+        if kind not in KINDS:
+            raise ValueError(f"unknown verdict kind {kind!r}")
+        self.kind = kind
+        self.payload = {} if payload is None else payload
+        self.conditional_on = conditional_on
+        self.narrative = narrative
 
 
 def _conditions_text(labels) -> str:
@@ -197,20 +198,20 @@ def trdeg_lower_bound(flag_dim: int, defining_field_trdeg: int,
     )
 
 
-@dataclass(frozen=True)
 class ChainIdentity:
     """flag_dim - dim g_{-1} = hcodim, an unconditional identity."""
 
-    flag_dim: int
-    g_minus_one_dim: int
-    hcodim: int
+    __slots__ = ("flag_dim", "g_minus_one_dim", "hcodim")
 
-    def __post_init__(self):
-        if self.flag_dim - self.g_minus_one_dim != self.hcodim:
+    def __init__(self, flag_dim: int, g_minus_one_dim: int, hcodim: int):
+        if flag_dim - g_minus_one_dim != hcodim:
             raise IdentityViolation(
-                f"flag_dim {self.flag_dim} - dim g_(-1) {self.g_minus_one_dim} "
-                f"!= hcodim {self.hcodim}"
+                f"flag_dim {flag_dim} - dim g_(-1) {g_minus_one_dim} "
+                f"!= hcodim {hcodim}"
             )
+        self.flag_dim = flag_dim
+        self.g_minus_one_dim = g_minus_one_dim
+        self.hcodim = hcodim
 
     @property
     def holds(self) -> bool:

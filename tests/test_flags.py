@@ -9,6 +9,7 @@ import sympy
 
 from hodgescreen import (
     DenominatorVanishes,
+    ExactMatrix,
     FlagPoint,
     FunctionField,
     QQ,
@@ -80,6 +81,61 @@ def test_flag_point_shape_contracts():
         )
 
 
+def test_a_dependent_basis_with_denominators_is_rejected():
+    # both rows carry non-unit denominators, so both are scaled before the
+    # fraction-free elimination; the second row is the first times a
+    # rational function, so the rank over Q(t) is one
+    f = field_over_q("t1", "t2")
+    t1, t2 = f.gens()
+    first = (f.one() / (t1 - 1), t2 / (t1 - 1), t1 / (t2 + 1))
+    second = tuple(x * (t2 + 1) / (t1 * t1 + 3) for x in first)
+    with pytest.raises(ValueError, match="step p=1 basis is not linearly independent"):
+        FlagPoint(f, 3, steps=((1, (first, second)),))
+    FlagPoint(f, 3, steps=((1, (first, (f.one(), f.zero(), t2 / (t1 + 2)))),))
+
+
+def test_containment_with_denominators_is_checked():
+    f = field_over_q("t1", "t2")
+    t1, t2 = f.gens()
+    low = (
+        (f.one() / (t1 + 1), f.zero(), t2 / (t1 + 1), f.one()),
+        (f.zero(), t1 / (t2 - 2), f.one(), f.one() / (t1 - t2)),
+    )
+    inside = tuple(a * t2 / (t1 - 3) + b / (t2 + 5) for a, b in zip(*low))
+    FlagPoint(f, 4, steps=((2, (inside,)), (1, low)))
+    outside = inside[:3] + (inside[3] + f.one() / (t1 * t2 + 1),)
+    with pytest.raises(ValueError, match=r"F\^2 is not contained in F\^1"):
+        FlagPoint(f, 4, steps=((2, (outside,)), (1, low)))
+
+
+def test_a_flag_with_an_affine_denominator_builds_within_budget():
+    # three quadrics in Q(t1, t2, t3)^4, one entry with an affine
+    # denominator: with symbolic ranks over Q(t) the independence check
+    # ran for more than 40 s inside poly_gcd (2 cores, Python 3.11.7);
+    # the fraction-free elimination takes about 0.2 s
+    rng = random.Random(1)
+    f = field_over_q("t1", "t2", "t3")
+    gens = f.gens()
+
+    def quadric():
+        total = f.coerce(rng.randint(-3, 3))
+        for g in gens:
+            total = total + rng.randint(-3, 3) * g
+        for a in gens:
+            for b in gens:
+                if rng.random() < 0.3:
+                    total = total + rng.randint(-3, 3) * a * b
+        return total
+
+    vectors = [[quadric() for _ in range(4)] for _ in range(3)]
+    t1, t2, t3 = gens
+    vectors[1][2] = (-t1 - Fraction(1, 3) * t2 - Fraction(1, 3) * t3 + Fraction(1, 3)) / (t1 - t3)
+    start = time.monotonic()
+    FlagPoint(f, 4, ((1, tuple(tuple(v) for v in vectors)),))
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"took {elapsed:.3f}s, budget 5s"
+
+
 def test_normalize_chart_of_a_graph_column():
     f = field_over_q("t1", "t2")
     t1, t2 = f.gen("t1"), f.gen("t2")
@@ -114,8 +170,10 @@ def test_normalize_chart_matches_the_minor_search_oracle(two_steps):
         assert len(coords) == len(expected)
         for ours, theirs in zip(coords, expected):
             assert sympy.cancel(ratfunc_to_sympy(ours, syms) - theirs) == 0
-        off_top += any(rank(flag._matrix(v).submatrix(range(len(v)))) < len(v)
-                       for _p, v in flag.steps)
+        off_top += any(
+            rank(ExactMatrix.from_columns(flag.field, v).submatrix(range(len(v)))) < len(v)
+            for _p, v in flag.steps
+        )
     assert off_top  # some charts do not sit on the top rows
 
 
@@ -159,11 +217,14 @@ def test_a_vanishing_denominator_moves_the_certificate_to_the_next_draw():
     assert result.certificate["point"] == (Fraction(second),)
 
 
-@pytest.mark.parametrize("shape", [(6, 3, 2), (4, 2, 3)])
+@pytest.mark.parametrize("shape", [(6, 3, 2), (4, 2, 3), (5, 2, 4), (6, 3, 3)])
 def test_seeded_trdeg_of_a_generic_flag_within_budget(shape):
     # the seeded route evaluates the Jacobian instead of building it; when
-    # it built the symbolic Jacobian first, these took about 5.5 s and 24 s
-    # (2 cores, Python 3.11.7), against about 1.3 s and 0.3 s now
+    # it built the symbolic Jacobian first, the first two took about 5.5 s
+    # and 24 s (2 cores, Python 3.11.7).  With the chart and the flag
+    # checks as rational-function eliminations, the last two ran for more
+    # than 60 s, inside poly_gcd.  With the fraction-free elimination the
+    # four take about 0.07 s, 0.03 s, 0.06 s and 0.9 s
     d, s, k = shape
     rng = random.Random(1)
     f = FunctionField(QQ, tuple(f"t{i + 1}" for i in range(k)))

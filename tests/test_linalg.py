@@ -21,7 +21,8 @@ from hodgescreen import (
     rank,
     rref,
 )
-from hodgescreen.linalg import inverse, solve_right
+from hodgescreen.linalg import fraction_free_rref, inverse, solve_right
+from hodgescreen.ratfunc import RatFunc
 
 
 def leibniz_det(field, rows):
@@ -87,6 +88,34 @@ def test_rref_produces_identity_block_on_pivots():
         for other in range(len(pivots)):
             if other != row_pos:
                 assert reduced.rows[other][col] == 0
+
+
+def test_fraction_free_rref_gives_the_rref_as_cramer_ratios():
+    # polynomial matrices over Q[t1, t2], some with a row that is a
+    # polynomial multiple of another: the pivot count is the minor rank,
+    # the rows past it vanish, and each entry over its row's pivot entry
+    # is the rref over Q(t1, t2)
+    rng = random.Random(31)
+    f = FunctionField(QQ, ("t1", "t2"))
+    t1, t2 = f.gens()
+    pool = [f.zero(), f.zero(), f.one(), t1, t2 - 1, t1 * t2 + 2, t1 * t1 - t2]
+    deficient = 0
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
+        entries = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.4:
+            entries[-1] = [x * (t1 + t2) for x in entries[0]]
+        m = ExactMatrix(f, entries)
+        rows = [[x.num for x in row] for row in m.rows]
+        pivots = fraction_free_rref(rows, ncols)
+        reduced, expected = rref(m)
+        assert pivots == expected
+        assert len(pivots) == minor_rank(m)
+        deficient += len(pivots) < nrows
+        assert all(a.is_zero() for row in rows[len(pivots):] for a in row)
+        for row, pivot, want in zip(rows, pivots, reduced.rows):
+            assert tuple(RatFunc(f, a, row[pivot]) for a in row) == want
+    assert deficient
 
 
 def test_kernel_vectors_annihilate_and_span_the_nullity():
