@@ -7,146 +7,66 @@ a declared filtration point, and evaluates the conjecture-conditional
 inequalities that screen out structures which cannot come from
 geometry.  All arithmetic is exact: rationals, number field elements
 with certified complex embeddings, and multivariate rational functions.
+
+Importing the package loads no submodule.  Each public name is imported
+from its home module on first access (PEP 562), so a caller pays only
+for the layers it uses; `from hodgescreen import X` and `import *` work
+as with eager imports.
 """
 
-from .errors import (
-    BracketClosureError,
-    DenominatorVanishes,
-    HodgescreenError,
-    IdentityViolation,
-    IncompleteGrading,
-    MathDomainError,
-    NormalizationError,
-    NotAHodgeFiltration,
-    PrecisionExhausted,
-    SpecValidationError,
-)
-from .fields import NumberField, QQ, gaussian_field
-from .flags import (
-    FlagPoint,
-    TrdegResult,
-    is_maximal_transcendence,
-    jacobian_matrix,
-    normalize_chart,
-    trdeg,
-)
-from .grading import (
-    CocharGrading,
-    HodgeCocharacter,
-    InvariantReport,
-    flag_dimension,
-    grade,
-    hcodim,
-    is_shimura_type,
-    report,
-)
-from .hodge import (
-    HodgeNumbers,
-    PolarizationForm,
-    PolarizationResult,
-    RealizedHodgeStructure,
-    dual,
-    filtration_dims,
-    polarization_check,
-    realize_and_validate,
-    sym,
-    tate_twist,
-    tensor,
-    wedge,
-)
-from .lie import (
-    CLASSICAL_KINDS,
-    MatLieAlgebra,
-    adjoint_of_diagonal,
-    bracket_matrices,
-    direct_sum,
-    make_classical,
-)
-from .linalg import ExactMatrix, intersection_basis, kernel_basis, rank, rref
-from .ratfunc import FunctionField, RatFunc
-from .schema import SPEC_SCHEMA, SpecDocument, load_document, parse_document
-from .verdicts import (
-    ChainIdentity,
-    ConjectureSet,
-    Verdict,
-    chain_identity,
-    evaluate,
-    exit_code_for,
-    field_descent_bound,
-    maximal_transcendence_verdict,
-    screen,
-    shimura_necessity,
-    trdeg_lower_bound,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketClosureError",
-    "CLASSICAL_KINDS",
-    "ChainIdentity",
-    "CocharGrading",
-    "ConjectureSet",
-    "DenominatorVanishes",
-    "ExactMatrix",
-    "FlagPoint",
-    "FunctionField",
-    "HodgeCocharacter",
-    "HodgeNumbers",
-    "HodgescreenError",
-    "IdentityViolation",
-    "IncompleteGrading",
-    "InvariantReport",
-    "MatLieAlgebra",
-    "MathDomainError",
-    "NormalizationError",
-    "NotAHodgeFiltration",
-    "NumberField",
-    "PolarizationForm",
-    "PolarizationResult",
-    "PrecisionExhausted",
-    "QQ",
-    "RatFunc",
-    "RealizedHodgeStructure",
-    "SPEC_SCHEMA",
-    "SpecDocument",
-    "SpecValidationError",
-    "TrdegResult",
-    "Verdict",
-    "adjoint_of_diagonal",
-    "bracket_matrices",
-    "chain_identity",
-    "direct_sum",
-    "dual",
-    "evaluate",
-    "exit_code_for",
-    "field_descent_bound",
-    "filtration_dims",
-    "flag_dimension",
-    "gaussian_field",
-    "grade",
-    "hcodim",
-    "intersection_basis",
-    "is_maximal_transcendence",
-    "is_shimura_type",
-    "jacobian_matrix",
-    "kernel_basis",
-    "load_document",
-    "make_classical",
-    "maximal_transcendence_verdict",
-    "normalize_chart",
-    "parse_document",
-    "polarization_check",
-    "rank",
-    "realize_and_validate",
-    "report",
-    "rref",
-    "screen",
-    "shimura_necessity",
-    "sym",
-    "tate_twist",
-    "tensor",
-    "trdeg",
-    "trdeg_lower_bound",
-    "wedge",
-]
+_EXPORTS = {
+    "errors": (
+        "BracketClosureError", "DenominatorVanishes", "HodgescreenError",
+        "IdentityViolation", "IncompleteGrading", "MathDomainError",
+        "NormalizationError", "NotAHodgeFiltration", "PrecisionExhausted",
+        "SpecValidationError",
+    ),
+    "fields": ("NumberField", "QQ", "gaussian_field"),
+    "flags": (
+        "FlagPoint", "TrdegResult", "is_maximal_transcendence",
+        "jacobian_matrix", "normalize_chart", "trdeg",
+    ),
+    "grading": (
+        "CocharGrading", "HodgeCocharacter", "InvariantReport",
+        "flag_dimension", "grade", "hcodim", "is_shimura_type", "report",
+    ),
+    "hodge": (
+        "HodgeNumbers", "PolarizationForm", "PolarizationResult",
+        "RealizedHodgeStructure", "dual", "filtration_dims",
+        "polarization_check", "realize_and_validate", "sym", "tate_twist",
+        "tensor", "wedge",
+    ),
+    "lie": (
+        "CLASSICAL_KINDS", "MatLieAlgebra", "adjoint_of_diagonal",
+        "bracket_matrices", "direct_sum", "make_classical",
+    ),
+    "linalg": ("ExactMatrix", "intersection_basis", "kernel_basis", "rank", "rref"),
+    "ratfunc": ("FunctionField", "RatFunc"),
+    "schema": ("SPEC_SCHEMA", "SpecDocument", "load_document", "parse_document"),
+    "verdicts": (
+        "ChainIdentity", "ConjectureSet", "Verdict", "chain_identity",
+        "evaluate", "exit_code_for", "field_descent_bound",
+        "maximal_transcendence_verdict", "screen", "shimura_necessity",
+        "trdeg_lower_bound",
+    ),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -27,22 +27,53 @@ designated embedding sigma really is complex conjugation: the enclosure of
 sigma(theta) is refined until it lands inside the mirror image of the
 isolating rectangle, which pins it to the unique root conj(theta) living
 there.  Both checks are exact.
+
+The interval and irreducibility helpers are loaded on the first
+NumberField (or gaussian_field), since grading and flags over Q never
+build one; reading one as an attribute of this module loads them too.
+They are bound as module globals, and NumberField calls them through
+those globals, so a wrapper bound on this module (for example a tracer's
+around certify_isolating) is called, and loading never replaces a name
+bound first.
 """
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
-from .intervals import Interval, Rectangle, certify_isolating, eval_poly_rect
-from .intervals import newton_step, poly_derivative
-from .irreducible import _poly_xgcd, _strip, is_irreducible_over_q
 
 _SIGN_BUDGET = 96
 
+_HELPERS = {
+    "intervals": ("Interval", "Rectangle", "certify_isolating", "eval_poly_rect",
+                  "newton_step", "poly_derivative"),
+    "irreducible": ("_poly_xgcd", "_strip", "is_irreducible_over_q"),
+}
+
+
+def _load_helpers():
+    for module, names in _HELPERS.items():
+        home = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name):
+    if not any(name in names for names in _HELPERS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_helpers()
+    return globals()[name]
+
 
 def parse_rational(value) -> Fraction:
-    """Fraction from an int, Fraction, or a string like '-3/2'."""
+    """Fraction from an int, Fraction, or a string like '-3/2'.
+
+    A Fraction is returned itself: it is immutable, so sharing it is safe.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational number")
     if isinstance(value, (int, Fraction)):
@@ -210,6 +241,7 @@ class NumberField:
 
     def __init__(self, minpoly, embedding: Rectangle, name: str = "theta",
                  conjugate_image=None):
+        _load_helpers()
         coeffs = tuple(parse_rational(c) for c in minpoly)
         coeffs = tuple(_strip(list(coeffs)))
         if len(coeffs) < 3:
@@ -397,6 +429,7 @@ class NumberField:
 
 def gaussian_field(name: str = "i") -> NumberField:
     """Q(i) with the upper-half-plane embedding and its conjugation."""
+    _load_helpers()
     return NumberField(
         minpoly=(1, 0, 1),
         embedding=Rectangle(

@@ -30,7 +30,6 @@ weight k: one small rank per weight that occurs.
 from __future__ import annotations
 
 from .errors import IncompleteGrading
-from .hodge import HodgeNumbers
 from .lie import MatLieAlgebra, adjoint_of_diagonal
 from .linalg import rank
 

@@ -38,7 +38,6 @@ from .fields import NumberField, QQ, parse_rational
 from .flags import FlagPoint
 from .grading import HodgeCocharacter
 from .hodge import HodgeNumbers, PolarizationForm, filtration_dims
-from .intervals import Interval, Rectangle
 from .jsonshape import integral_floats, shape_problems
 from .lie import MatLieAlgebra, make_classical
 from .ratfunc import FunctionField
@@ -208,6 +207,8 @@ def _build_algebra(section: dict, label: str, problems: list) -> MatLieAlgebra |
 
 
 def _build_number_field(section: dict, problems: list) -> NumberField | None:
+    from .intervals import Interval, Rectangle
+
     try:
         minpoly = [parse_rational(c) for c in section["minpoly"]]
         (re_lo, re_hi), (im_lo, im_hi) = section["embedding"]

@@ -11,8 +11,13 @@ chart coordinates come from a search over sympy minors and an inverse
 instead of one elimination.
 """
 
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import jsonschema
 import sympy
@@ -29,6 +34,27 @@ from hodgescreen import (
 from hodgescreen.schema import SPEC_SCHEMA
 
 FORM_KINDS = ("so", "sp", "gsp", "go")
+
+ROOT = Path(__file__).resolve().parent.parent
+# A child interpreter imports the package from this checkout's src/,
+# installed or not.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+
+
+def package_modules_after(code: str) -> set:
+    """Run code in a fresh interpreter from the repository root and return
+    the hodgescreen submodules it loaded, without the package prefix.
+
+    The child fails the caller on a nonzero exit, so code may assert."""
+    probe = code + (
+        "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hodgescreen.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env=ENV, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return {name.removeprefix("hodgescreen.") for name in loaded}
 
 
 # -- random classical instances ---------------------------------------------------

@@ -1,18 +1,13 @@
 """End-to-end runs of the command line, as a subprocess."""
 
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from support import ENV, ROOT
+
 SPECS = ROOT / "specs"
-# The child interpreter imports the package from this checkout's src/,
-# installed or not.
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
 
 EXPECTED_EXIT = {
     "gsp4-cy.json": 10,

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from hodgescreen import NumberField, PrecisionExhausted, QQ, gaussian_field
+from hodgescreen import ExactMatrix, NumberField, PrecisionExhausted, QQ, gaussian_field
+from hodgescreen import fields
 from hodgescreen.fields import parse_rational
 from hodgescreen.intervals import (
     Interval,
@@ -17,14 +18,57 @@ from hodgescreen.intervals import (
 )
 from hodgescreen.irreducible import is_irreducible_over_q
 
-from support import oracle_is_irreducible
+from support import oracle_is_irreducible, package_modules_after
+
+
+class _SubFraction(Fraction):
+    pass
 
 
 def test_parse_rational_accepts_ints_fractions_and_strings():
-    assert parse_rational(3) == Fraction(3)
-    assert parse_rational(Fraction(2, 7)) == Fraction(2, 7)
-    assert parse_rational("-3/2") == Fraction(-3, 2)
-    assert parse_rational(" 5 ") == Fraction(5)
+    for value, expected in ((3, Fraction(3)), (Fraction(2, 7), Fraction(2, 7)),
+                            ("-3/2", Fraction(-3, 2)), (" 5 ", Fraction(5)),
+                            (_SubFraction(4, 6), Fraction(2, 3))):
+        result = parse_rational(value)
+        assert result == expected and type(result) is Fraction
+
+
+def test_parse_rational_shares_a_fraction_and_copies_anything_else():
+    half = Fraction(1, 2)
+    assert parse_rational(half) is half
+    sub = _SubFraction(1, 2)
+    assert parse_rational(sub) is not sub
+    rows = [[Fraction(1, 3), Fraction(-2)], [Fraction(0), Fraction(5, 7)]]
+    matrix = ExactMatrix(QQ, rows)
+    assert all(a is b for row, given in zip(matrix.rows, rows) for a, b in zip(row, given))
+
+
+def test_a_rebound_certify_isolating_is_called_and_stays_bound(monkeypatch):
+    # As a tracer does it: rebind the module global before the helpers load,
+    # in a fresh interpreter, then again here with monkeypatch.
+    loaded = package_modules_after(
+        "from hodgescreen import fields, intervals\n"
+        "calls = []\n"
+        "def counting(*args):\n"
+        "    calls.append(args)\n"
+        "    return intervals.certify_isolating(*args)\n"
+        "assert 'certify_isolating' not in vars(fields)\n"
+        "fields.certify_isolating = counting\n"
+        "fields.gaussian_field()\n"
+        "assert len(calls) == 1 and fields.certify_isolating is counting\n")
+    assert {"intervals", "irreducible"} <= loaded
+
+    calls = []
+    original = fields.certify_isolating
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fields, "certify_isolating", counting)
+    gaussian_field()
+    assert len(calls) == 1
+    assert fields.certify_isolating is counting
 
 
 def test_parse_rational_rejects_bool_and_float():

@@ -1,0 +1,63 @@
+"""The package namespace: names load on first use, and only the layers a
+call uses are imported."""
+
+import importlib
+
+import pytest
+
+import hodgescreen
+
+from support import package_modules_after
+
+
+def test_every_public_name_is_its_home_module_object():
+    for name in hodgescreen.__all__:
+        home = importlib.import_module(f"hodgescreen.{hodgescreen._HOME[name]}")
+        value = getattr(hodgescreen, name)
+        assert value is getattr(home, name), name
+        defined_in = getattr(value, "__module__", home.__name__)
+        assert defined_in == home.__name__, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hodgescreen import *", namespace)
+    assert set(hodgescreen.__all__) <= set(namespace)
+    for name in hodgescreen.__all__:
+        assert namespace[name] is getattr(hodgescreen, name)
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hodgescreen.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hodgescreen import no_such_name", {})
+
+
+def test_dir_lists_the_public_names():
+    assert set(hodgescreen.__all__) <= set(dir(hodgescreen))
+    assert "__version__" in dir(hodgescreen)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert package_modules_after("import hodgescreen") == set()
+
+
+def test_grading_and_flags_load_no_spec_hodge_or_number_field_layer():
+    loaded = package_modules_after("from hodgescreen import flags, grading, lie")
+    assert {"flags", "grading", "lie"} <= loaded
+    assert not loaded & {"schema", "jsonshape", "verdicts", "hodge", "intervals",
+                         "irreducible", "cli", "rendering"}
+
+
+@pytest.mark.parametrize("spec, code, number_field", [
+    ("gsp4-cy.json", 10, False),
+    ("torus-cm.json", 0, True),
+])
+def test_number_field_helpers_load_only_for_a_number_field(spec, code, number_field):
+    loaded = package_modules_after(
+        "from hodgescreen.cli import main\n"
+        f"assert main(['screen', 'specs/{spec}']) == {code}\n")
+    assert "cli" in loaded
+    assert ("intervals" in loaded) is number_field
+    assert ("irreducible" in loaded) is number_field
