@@ -16,9 +16,12 @@ certified to isolate exactly one root by the interval Newton operator
 from `intervals`.
 
 Elements are coordinate vectors in the power basis 1, theta, ...,
-theta^(d-1).  Arithmetic is exact; only sign determination under the
-designated embedding touches intervals, and it refines the enclosure of
-theta on demand within an explicit budget (PrecisionExhausted beyond).
+theta^(d-1), that is, polynomials of degree below d: a product is the
+Q[x] product reduced modulo the minimal polynomial, an inverse comes from
+the extended Euclidean algorithm.  Arithmetic is exact; only sign
+determination under the designated embedding touches intervals, and it
+refines the enclosure of theta on demand within an explicit budget
+(PrecisionExhausted beyond).
 
 A field may carry a conjugation automorphism sigma, given by the image of
 theta.  Construction checks both that sigma(theta) is a root of the
@@ -49,7 +52,8 @@ _SIGN_BUDGET = 96
 _HELPERS = {
     "intervals": ("Interval", "Rectangle", "certify_isolating", "eval_poly_rect",
                   "newton_step", "poly_derivative"),
-    "irreducible": ("_poly_xgcd", "_strip", "is_irreducible_over_q"),
+    "irreducible": ("_poly_divmod", "_poly_mul", "_poly_xgcd", "_strip",
+                    "is_irreducible_over_q"),
 }
 
 
@@ -158,27 +162,18 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         other = self._check_same(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b != 0:
-                    prod[i + j] += a * b
-        return NumberFieldElement(self.field, self.field._reduce(prod))
+        product = _poly_mul(self.coords, other.coords)
+        return self.field._from_poly(_poly_divmod(product, self.field.minpoly)[1])
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero in a number field")
-        g, u, _ = _poly_xgcd(list(self.coords), list(self.field.minpoly))
+        g, u, _ = _poly_xgcd(self.coords, self.field.minpoly)
         # g is a nonzero constant because the minimal polynomial is irreducible.
         scale = 1 / g[0]
-        coords = [c * scale for c in u]
-        coords += [Fraction(0)] * (self.field.degree - len(coords))
-        return NumberFieldElement(self.field, tuple(coords[: self.field.degree]))
+        return self.field._from_poly([c * scale for c in u])
 
     def __truediv__(self, other):
         return self * self._check_same(other).inverse()
@@ -257,98 +252,71 @@ class NumberField:
         self._initial_rect = embedding
         self._rect = certify_isolating(coeffs, embedding)
         self._deriv = poly_derivative(coeffs)
-        self._powers = self._power_table()
         self._conj_image = None
         if conjugate_image is not None:
             sigma_theta = self.element(conjugate_image)
             self._install_conjugation(sigma_theta)
 
-    def _power_table(self):
-        d = self.degree
-        powers = []
-        current = [Fraction(0)] * d
-        current[0] = Fraction(1)
-        for _ in range(2 * d - 1):
-            powers.append(tuple(current))
-            current = [Fraction(0)] + current
-            if len(current) > d:
-                lead = current[d]
-                if lead != 0:
-                    for i in range(d):
-                        current[i] -= lead * self.minpoly[i]
-                current = current[:d]
-        return powers
-
-    def _reduce(self, prod):
-        d = self.degree
-        out = list(prod[:d]) + [Fraction(0)] * max(0, d - len(prod))
-        for k in range(d, len(prod)):
-            c = prod[k]
-            if c == 0:
-                continue
-            for i, p in enumerate(self._powers[k]):
-                out[i] += c * p
-        return tuple(out[:d])
-
     def _install_conjugation(self, sigma_theta: NumberFieldElement):
         # sigma must send theta to another root of the minimal polynomial.
-        value = self.zero()
-        for k, c in enumerate(self.minpoly):
-            value = value + c * sigma_theta**k
-        if value:
+        if self._horner(self.minpoly, sigma_theta):
             raise ValueError("conjugate_image is not a root of the minimal polynomial")
         # Under the embedding, sigma(theta) must be conj(theta).  The mirror
         # of the isolating rectangle isolates conj(theta) (real coefficients),
         # so landing the enclosure of sigma(theta) inside the mirror is an
         # exact proof.  Separation is an exact disproof.
-        self._conj_image = sigma_theta
         mirror = self._rect.conj()
-        for _ in range(_SIGN_BUDGET):
-            enclosure = self.enclosure(sigma_theta)
-            if enclosure.re.hi < mirror.re.lo or enclosure.re.lo > mirror.re.hi or \
-               enclosure.im.hi < mirror.im.lo or enclosure.im.lo > mirror.im.hi:
-                self._conj_image = None
-                raise ValueError("conjugate_image does not realize complex conjugation "
-                                 "under the designated embedding")
-            if enclosure.re.lo >= mirror.re.lo and enclosure.re.hi <= mirror.re.hi and \
-               enclosure.im.lo >= mirror.im.lo and enclosure.im.hi <= mirror.im.hi:
-                return
-            self._refine()
-        self._conj_image = None
-        raise PrecisionExhausted("could not verify the conjugation automorphism "
-                                 "within the refinement budget")
+
+        def inside_mirror(box):
+            meet = box.intersect(mirror)
+            if meet is None:
+                return False
+            return True if meet == box else None
+
+        inside = self._refine_until(sigma_theta, inside_mirror)
+        if inside is None:
+            raise PrecisionExhausted("could not verify the conjugation automorphism "
+                                     "within the refinement budget")
+        if not inside:
+            raise ValueError("conjugate_image does not realize complex conjugation "
+                             "under the designated embedding")
+        self._conj_image = sigma_theta
 
     # -- field protocol ----------------------------------------------------
 
+    def _from_poly(self, coeffs):
+        """The element with these power-basis coordinates, zero-padded."""
+        coeffs = tuple(coeffs)
+        return NumberFieldElement(self, coeffs + (Fraction(0),) * (self.degree - len(coeffs)))
+
+    def _horner(self, coeffs, x: NumberFieldElement) -> NumberFieldElement:
+        """sum(coeffs[k] * x^k) in this field."""
+        value = self.zero()
+        for c in reversed(coeffs):
+            value = value * x + c
+        return value
+
     def zero(self):
-        return NumberFieldElement(self, (Fraction(0),) * self.degree)
+        return self._from_poly(())
 
     def one(self):
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(1)
-        return NumberFieldElement(self, tuple(coords))
+        return self._from_poly((Fraction(1),))
 
     def gen(self):
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return NumberFieldElement(self, tuple(coords))
+        return self._from_poly((Fraction(0), Fraction(1)))
 
     def element(self, coords):
         coords = [parse_rational(c) for c in coords]
         if len(coords) > self.degree:
             raise ValueError("coordinate vector longer than the field degree")
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return NumberFieldElement(self, tuple(coords))
+        return self._from_poly(coords)
 
     def coerce(self, value):
         if isinstance(value, NumberFieldElement):
             if value.field != self:
                 raise TypeError("element of a different number field")
             return value
-        q = parse_rational(value)
-        coords = [Fraction(0)] * self.degree
-        coords[0] = q
-        return NumberFieldElement(self, tuple(coords))
+        return self._from_poly((parse_rational(value),))
 
     def is_zero(self, x) -> bool:
         return not x
@@ -363,19 +331,19 @@ class NumberField:
     def conj(self, x: NumberFieldElement) -> NumberFieldElement:
         if self._conj_image is None:
             raise ValueError("this number field carries no conjugation automorphism")
-        result = self.zero()
-        power = self.one()
-        for c in x.coords:
-            if c != 0:
-                result = result + c * power
-            power = power * self._conj_image
-        return result
+        return self._horner(x.coords, self._conj_image)
 
     # -- embedding and signs -------------------------------------------------
 
-    def _refine(self):
-        refined, _ = newton_step(self.minpoly, self._deriv, self._rect)
-        self._rect = refined
+    def _refine_until(self, x: NumberFieldElement, decide):
+        """The first decide(enclosure of x) that is not None, refining the
+        enclosure of theta between tries; None once the budget is spent."""
+        for _ in range(_SIGN_BUDGET):
+            verdict = decide(self.enclosure(x))
+            if verdict is not None:
+                return verdict
+            self._rect, _ = newton_step(self.minpoly, self._deriv, self._rect)
+        return None
 
     def enclosure(self, x: NumberFieldElement) -> Rectangle:
         return eval_poly_rect(x.coords, self._rect)
@@ -395,14 +363,18 @@ class NumberField:
                 return 0
             if component == "im" and sigma_x == x:
                 return 0
-        for _ in range(_SIGN_BUDGET):
-            box = self.enclosure(x)
+
+        def sign(box):
             iv = box.re if component == "re" else box.im
             if iv.lo > 0:
                 return 1
             if iv.hi < 0:
                 return -1
-            self._refine()
+            return None
+
+        decided = self._refine_until(x, sign)
+        if decided is not None:
+            return decided
         raise PrecisionExhausted(
             f"sign of {component}({x!r}) undecided after {_SIGN_BUDGET} refinements"
         )

@@ -3,9 +3,10 @@
 A HodgeNumbers table is the bigraded dimension datum {(p, q): h} of a
 pure structure of some weight; the Tannakian operations (twist, tensor,
 dual, exterior and symmetric powers) act on tables alone, no vector
-spaces attached.  Wedge and sym are computed by enumerating k-element
-subsets / multisets of a typed basis, which is exact and matches the
-binomial totals they must satisfy.
+spaces attached.  Wedge and sym count per type: a type with h basis
+vectors offers C(h, j) ways to pick j of them for wedge and C(h+j-1, j)
+for sym, and the counts multiply across types, so the cost is
+polynomial in k.
 
 A RealizedHodgeStructure carries an actual filtration: bases over Q or
 over a conjugation-stable number field Q(theta).  Validation computes
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 
 from .errors import NotAHodgeFiltration
 from .fields import QQ, parse_rational
@@ -116,43 +116,40 @@ def tensor(a: HodgeNumbers, b: HodgeNumbers) -> HodgeNumbers:
     return HodgeNumbers(a.weight + b.weight, out)
 
 
-def _typed_basis(numbers: HodgeNumbers):
-    basis = []
+def _power(numbers: HodgeNumbers, k: int, ways) -> HodgeNumbers:
+    """k-th power whose type of dimension h offers ways(h, j) choices of
+    j basis vectors; a choice of j from type (p, q) adds (j*p, j*q)."""
+    partial = {(0, 0, 0): 1}  # (vectors chosen, p sum, q sum) -> count
     for p, q in sorted(numbers.dims, reverse=True):
-        basis.extend([(p, q)] * numbers.dims[(p, q)])
-    return basis
+        h = numbers.dims[(p, q)]
+        grown: dict = {}
+        for (n, ps, qs), count in partial.items():
+            for j in range(k - n + 1):
+                choices = ways(h, j)
+                if not choices:
+                    break
+                key = (n + j, ps + j * p, qs + j * q)
+                grown[key] = grown.get(key, 0) + count * choices
+        partial = grown
+    return HodgeNumbers(numbers.weight * k, {
+        (ps, qs): count for (n, ps, qs), count in partial.items() if n == k
+    })
 
 
 def wedge(numbers: HodgeNumbers, k: int) -> HodgeNumbers:
-    """k-th exterior power by enumerating k-element subsets of a typed basis."""
+    """k-th exterior power: C(h, j) choices of j vectors from a type."""
     if k < 0:
         raise ValueError("negative exterior power")
-    if k == 0:
-        return HodgeNumbers(0, {(0, 0): 1})
-    basis = _typed_basis(numbers)
-    if k > len(basis):
-        raise ValueError(f"wedge^{k} of a {len(basis)}-dimensional structure vanishes")
-    out: dict = {}
-    for combo in combinations(range(len(basis)), k):
-        p = sum(basis[i][0] for i in combo)
-        q = sum(basis[i][1] for i in combo)
-        out[(p, q)] = out.get((p, q), 0) + 1
-    return HodgeNumbers(numbers.weight * k, out)
+    if k > numbers.total_dim():
+        raise ValueError(f"wedge^{k} of a {numbers.total_dim()}-dimensional structure vanishes")
+    return _power(numbers, k, math.comb)
 
 
 def sym(numbers: HodgeNumbers, k: int) -> HodgeNumbers:
-    """k-th symmetric power by enumerating k-element multisets."""
+    """k-th symmetric power: C(h+j-1, j) choices of j vectors from a type."""
     if k < 0:
         raise ValueError("negative symmetric power")
-    if k == 0:
-        return HodgeNumbers(0, {(0, 0): 1})
-    basis = _typed_basis(numbers)
-    out: dict = {}
-    for combo in combinations_with_replacement(range(len(basis)), k):
-        p = sum(basis[i][0] for i in combo)
-        q = sum(basis[i][1] for i in combo)
-        out[(p, q)] = out.get((p, q), 0) + 1
-    return HodgeNumbers(numbers.weight * k, out)
+    return _power(numbers, k, lambda h, j: math.comb(h + j - 1, j))
 
 
 def filtration_dims(numbers: HodgeNumbers):

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PrecisionExhausted
-
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
@@ -84,9 +82,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
     def strictly_inside(self, other) -> bool:
         return other.lo < self.lo and self.hi < other.hi
 
@@ -97,10 +92,6 @@ class Interval:
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) * _HALF
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 class Rectangle:
@@ -119,13 +110,6 @@ class Rectangle:
     @staticmethod
     def point(re, im=0) -> "Rectangle":
         return Rectangle(Interval.point(re), Interval.point(im))
-
-    @staticmethod
-    def from_corners(re_lo, re_hi, im_lo, im_hi) -> "Rectangle":
-        return Rectangle(
-            Interval(Fraction(re_lo), Fraction(re_hi)),
-            Interval(Fraction(im_lo), Fraction(im_hi)),
-        )
 
     def __add__(self, other):
         return Rectangle(self.re + other.re, self.im + other.im)
@@ -168,10 +152,6 @@ class Rectangle:
     def mid(self) -> tuple:
         return (self.re.mid, self.im.mid)
 
-    @property
-    def width(self) -> Fraction:
-        return max(self.re.width, self.im.width)
-
 
 def eval_poly_rect(coeffs, rect: Rectangle) -> Rectangle:
     """Horner evaluation of sum(coeffs[k] * z^k) at a rectangle.
@@ -182,14 +162,6 @@ def eval_poly_rect(coeffs, rect: Rectangle) -> Rectangle:
     for c in reversed(coeffs):
         acc = acc * rect + Rectangle.point(c)
     return acc
-
-
-def eval_poly_point(coeffs, re: Fraction, im: Fraction) -> tuple:
-    """Exact Horner evaluation at the rational complex point re + i*im."""
-    are, aim = _ZERO, _ZERO
-    for c in reversed(coeffs):
-        are, aim = are * re - aim * im + c, are * im + aim * re
-    return are, aim
 
 
 def poly_derivative(coeffs):
@@ -205,11 +177,9 @@ def newton_step(coeffs, deriv, rect: Rectangle):
     coarse for Newton), and ValueError when the step empties the rectangle
     (no root at all).
     """
-    mre, mim = rect.mid
-    pre, pim = eval_poly_point(coeffs, mre, mim)
-    dprect = eval_poly_rect(deriv, rect)
-    quotient = Rectangle.point(pre, pim).divide(dprect)
-    candidate = Rectangle.point(mre, mim) - quotient
+    mid = Rectangle.point(*rect.mid)
+    quotient = eval_poly_rect(coeffs, mid).divide(eval_poly_rect(deriv, rect))
+    candidate = mid - quotient
     certified = candidate.strictly_inside(rect)
     refined = candidate.intersect(rect)
     if refined is None:
@@ -242,16 +212,3 @@ def certify_isolating(coeffs, rect: Rectangle, rounds: int = 64) -> Rectangle:
         current = refined
     raise ValueError("cannot certify the isolating rectangle within the refinement budget")
 
-
-def refine(coeffs, rect: Rectangle, max_width: Fraction, budget: int = 256) -> Rectangle:
-    """Shrink a certified isolating rectangle below max_width."""
-    deriv = poly_derivative(coeffs)
-    current = rect
-    for _ in range(budget):
-        if current.width < max_width:
-            return current
-        refined, _ = newton_step(coeffs, deriv, current)
-        if refined == current:  # pragma: no cover - stalls only on corrupted input
-            raise PrecisionExhausted("interval refinement stalled")
-        current = refined
-    raise PrecisionExhausted(f"could not reach width {max_width} within budget {budget}")

@@ -30,7 +30,8 @@ the minimal polynomial at degree 16, so r <= 16 and at most 32767
 divisions, each preceded by a constant-term test.
 
 Polynomials are coefficient lists in ascending degree order.  The exact
-Q[x] helpers at the top are also the number fields' inverse routine.
+Q[x] helpers at the top are also the number fields' product and
+inverse routines.
 This module imports only from the standard library.
 """
 

@@ -52,6 +52,7 @@ with open(os.path.join(os.path.dirname(__file__), "spec_schema.json"),
 # -- exact expression entries --------------------------------------------------
 
 MAX_EXPONENT = 64  # larger literal powers are spec errors, raised before evaluation
+_TOO_DEEP = "entry nests too deeply to evaluate"
 
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
@@ -81,6 +82,10 @@ def parse_entry(value, env: dict, field):
         tree = ast.parse(value.strip(), mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse entry {value!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        # The parser reports deep nesting (long operator chains, thousands
+        # of unary signs) as one of these.
+        raise ValueError(_TOO_DEEP) from None
 
     def walk(node, power=1):
         # power: the product of the literal exponents enclosing node
@@ -134,6 +139,8 @@ def parse_entry(value, env: dict, field):
         return walk(tree)
     except ZeroDivisionError:
         raise ValueError(f"division by zero in entry {value!r}") from None
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 # -- semantic document ----------------------------------------------------------
@@ -400,10 +407,18 @@ def load_document(path) -> SpecDocument:
             raw = json.load(handle)
     except FileNotFoundError:
         raise SpecValidationError(f"spec file not found: {path}") from None
+    except OSError as exc:
+        raise SpecValidationError(f"cannot read spec file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError(
+            f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise SpecValidationError(
             f"{path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise SpecValidationError(f"{path} nests JSON too deeply to parse") from None
     if not isinstance(raw, dict):
         raise SpecValidationError(f"{path}: top level must be a JSON object")
     return parse_document(raw)

@@ -255,6 +255,29 @@ def test_missing_file_is_a_spec_error():
     assert "not found" in proc.stderr
 
 
+def test_unreadable_files_are_spec_errors(tmp_path):
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path, problem in ((SPECS, "cannot read spec file"), (utf16, "is not UTF-8 text"),
+                          (deep, "nests JSON too deeply")):
+        proc = run("screen", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("spec error: ") and proc.stderr.count("\n") == 1
+        assert problem in proc.stderr and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_flag_entries_exit_2(tmp_path):
+    spec = json.loads((SPECS / "gsp4-cy-generic.json").read_text())
+    spec["flag_point"]["steps"][0]["basis"][0][1] = "-" * 3000 + "t1"
+    proc = run("trdeg", spec_text=spec, tmp_path=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == ("spec error: flag_point/steps/0/basis/0/1: "
+                           "entry nests too deeply to evaluate\n")
+
+
 def test_sympy_stays_off_the_runtime_path(tmp_path):
     """Neither test-only package, sympy nor jsonschema, is imported by a
     run, whether the spec is valid or fails the schema.  Nor are

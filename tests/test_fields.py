@@ -14,7 +14,6 @@ from hodgescreen.intervals import (
     Rectangle,
     certify_isolating,
     eval_poly_rect,
-    refine,
 )
 from hodgescreen.irreducible import is_irreducible_over_q
 
@@ -104,9 +103,6 @@ def test_isolating_rectangle_for_gaussian_unit():
     certified = certify_isolating(coeffs, box)
     value = eval_poly_rect(coeffs, certified)
     assert value.re.contains_zero() and value.im.contains_zero()
-    narrow = refine(coeffs, certified, Fraction(1, 10**6))
-    assert narrow.re.width < Fraction(1, 10**6)
-    assert narrow.im.width < Fraction(1, 10**6)
 
 
 def test_rectangle_without_root_is_rejected():
@@ -125,6 +121,18 @@ def test_number_field_constructor_contracts():
     with pytest.raises(ValueError, match="^minimal polynomial is not irreducible over Q; "
                                          "composite input is rejected$"):
         NumberField((Fraction(-1), Fraction(0), Fraction(1)), box)  # reducible
+
+
+def test_an_exhausted_refinement_budget_raises_precision_exhausted(monkeypatch):
+    qi = gaussian_field()
+    i = qi.gen()
+    monkeypatch.setattr(fields, "_SIGN_BUDGET", 0)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^sign of re\(1 \+ i\) undecided after 0 refinements$"):
+        qi.sign_real(i + 1)
+    with pytest.raises(PrecisionExhausted, match="^could not verify the conjugation "
+                                                 "automorphism within the refinement budget$"):
+        gaussian_field()
 
 
 def test_gaussian_arithmetic_and_inverse():

@@ -177,6 +177,39 @@ def test_normalize_chart_matches_the_minor_search_oracle(two_steps):
     assert off_top  # some charts do not sit on the top rows
 
 
+@pytest.mark.parametrize("two_steps", [False, True])
+def test_chart_coordinates_depend_only_on_the_span_of_each_step(two_steps):
+    """normalize_chart is unchanged by a unimodular mix of one step's basis
+    over Q[t], by scaling one vector by a non-constant polynomial, and by
+    permuting the vectors."""
+    rng = random.Random(6160 + two_steps)
+    for _ in range(8):
+        flag = random_span_flag(rng, two_steps)
+        t1, t2 = flag.field.gens()
+        pairs = [(c.num, c.den) for c in normalize_chart(flag)]
+        which = rng.randrange(len(flag.steps))
+        p, vectors = flag.steps[which]
+
+        def scaled(v, c):
+            return tuple(c * x for x in v)
+
+        def plus(v, c, w):
+            return tuple(x + c * y for x, y in zip(v, w))
+
+        if len(vectors) >= 2:
+            # [[1, t1 - 2], [3, 3 t1 - 5]] has determinant 1
+            first = plus(vectors[0], t1 - 2, vectors[1])
+            mixed = (first, plus(vectors[1], 3, first)) + vectors[2:]
+        else:
+            mixed = (scaled(vectors[0], -2),)
+        k = rng.randrange(len(vectors))
+        stretched = vectors[:k] + (scaled(vectors[k], t1 * t2 + t2 - 3),) + vectors[k + 1:]
+        for moved in (mixed, stretched, vectors[::-1]):
+            steps = flag.steps[:which] + ((p, moved),) + flag.steps[which + 1:]
+            other = FlagPoint(flag.field, flag.ambient_dim, steps)
+            assert [(c.num, c.den) for c in normalize_chart(other)] == pairs
+
+
 def test_evaluated_rows_match_sympy_jacobian_at_the_point():
     rng = random.Random(8080)
     checked = vanished = 0

@@ -1,7 +1,9 @@
 """Hodge number tables, realized filtrations, polarization decisions."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -23,7 +25,7 @@ from hodgescreen import (
     tensor,
     wedge,
 )
-from hodgescreen.intervals import Rectangle
+from hodgescreen.intervals import Interval, Rectangle
 
 from support import random_hodge_table as random_table
 
@@ -77,6 +79,39 @@ def test_operation_laws_on_random_tables():
         assert tate_twist(a, 0) == a
 
 
+def _enumerated_power(numbers, k, choose):
+    """Reference wedge/sym: count the types of every k-subset or k-multiset
+    of a basis listing each type h times."""
+    basis = [pq for pq, h in sorted(numbers.dims.items()) for _ in range(h)]
+    out = {}
+    for combo in choose(range(len(basis)), k):
+        key = (sum(basis[i][0] for i in combo), sum(basis[i][1] for i in combo))
+        out[key] = out.get(key, 0) + 1
+    return HodgeNumbers(numbers.weight * k, out)
+
+
+def test_wedge_and_sym_match_the_enumeration():
+    rng = random.Random(4242)
+    for _ in range(40):
+        a = random_table(rng)
+        for k in range(1, 5):
+            assert sym(a, k) == _enumerated_power(a, k, combinations_with_replacement)
+            if k <= a.total_dim():
+                assert wedge(a, k) == _enumerated_power(a, k, combinations)
+
+
+def test_wedge_and_sym_are_polynomial_in_k():
+    cubic = HodgeNumbers(3, {(3, 0): 4, (2, 1): 6, (1, 2): 6, (0, 3): 4})
+    start = time.monotonic()
+    big = sym(cubic, 60)
+    assert big.total_dim() == comb(20 + 60 - 1, 60)
+    assert sym(cubic, 8).total_dim() == comb(27, 8)
+    assert wedge(cubic, 10).total_dim() == comb(20, 10)
+    assert sym(HodgeNumbers(2, {(2, 0): 3, (0, 2): 3}), 60).total_dim() == comb(65, 60)
+    elapsed = time.monotonic() - start
+    assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
+
+
 def test_top_wedge_is_the_determinant_line():
     top = wedge(K3, 22)
     assert top.total_dim() == 1
@@ -114,7 +149,7 @@ def test_rational_line_is_not_a_hodge_filtration():
 def test_realization_requires_a_conjugation():
     cbrt2 = NumberField(
         (-2, 0, 0, 1),
-        Rectangle.from_corners(Fraction(1), Fraction(3, 2), Fraction(-1, 4), Fraction(1, 4)),
+        Rectangle(Interval(Fraction(1), Fraction(3, 2)), Interval(Fraction(-1, 4), Fraction(1, 4))),
         name="c",
     )
     with pytest.raises(NotAHodgeFiltration, match="conjugation"):

@@ -446,6 +446,19 @@ def test_flag_entry_problems_carry_their_position():
     assert "unknown name" in text
 
 
+@pytest.mark.parametrize("entry", [
+    "+".join(["t1"] * 20000),
+    "-" * 3000 + "t1",
+    "-" * 200000 + "t1",
+])
+def test_deeply_nested_entries_are_spec_errors(entry):
+    doc = flag_doc()
+    doc["flag_point"]["steps"] = [{"p": 1, "basis": [["1", entry]]}]
+    assert problems_of(doc) == (
+        "flag_point/steps/0/basis/0/1: entry nests too deeply to evaluate"
+    )
+
+
 def test_flag_steps_must_match_the_filtration_profile():
     doc = flag_doc()
     doc["flag_point"]["steps"] = [{"p": 2, "basis": [["1", "t1"]]}]
