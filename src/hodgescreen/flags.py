@@ -20,9 +20,11 @@ and each coordinate costs one, when the ratio is reduced.  The
 elimination needs polynomial rows, so each basis vector is first
 scaled by the product of its distinct non-unit denominators.  Scaling
 a basis vector by a nonzero polynomial keeps the span, and with it the
-pivot columns and the chart.  The FlagPoint checks (independence of
-each step, containment of each step in the next) are the pivot counts
-of the same elimination.
+pivot columns and the chart.  FlagPoint runs that elimination once per
+step and keeps it: independence of a step is its pivot count, and
+normalize_chart reads the kept rows.  Containment of each step in the
+next is the pivot count of one more elimination, on the two bases
+stacked.
 
 trdeg is the rank of the Jacobian of those coordinates with respect to
 the parameters, a field-theoretic transcendence degree by the Jacobian
@@ -52,7 +54,7 @@ _FAST_PATH_RANGE = 999983
 class FlagPoint:
     """Nested subspaces of the d-dimensional ambient space, by p descending."""
 
-    __slots__ = ("field", "ambient_dim", "steps")
+    __slots__ = ("field", "ambient_dim", "steps", "echelons")
 
     def __init__(self, field: FunctionField, ambient_dim: int, steps: tuple):
         # steps: ((p, (vector, ...)), ...), each vector a tuple of RatFunc
@@ -76,14 +78,22 @@ class FlagPoint:
             previous_p, previous_size = p, len(vectors)
             checked.append((p, vectors))
         self.steps = tuple(checked)
-        for (p_hi, vec_hi), (p_lo, vec_lo) in zip(self.steps, self.steps[1:]):
-            if _rank(vec_lo, d) != len(vec_lo):
+        # (rows, pivots) of each step's fraction-free elimination, kept
+        # for normalize_chart; a step is independent when every row pivots
+        echelons = []
+        for _p, vectors in self.steps:
+            rows = _poly_rows(vectors)
+            echelons.append((rows, fraction_free_rref(rows, d)))
+        self.echelons = tuple(echelons)
+        for (p_hi, vec_hi), (p_lo, vec_lo), (_rows, pivots) in zip(
+                self.steps, self.steps[1:], self.echelons[1:]):
+            if len(pivots) != len(vec_lo):
                 raise ValueError(f"step p={p_lo} basis is not linearly independent")
             if _rank(vec_lo + vec_hi, d) != len(vec_lo):
                 raise ValueError(f"F^{p_hi} is not contained in F^{p_lo}")
         if self.steps:
             p, first = self.steps[0]
-            if _rank(first, d) != len(first):
+            if len(self.echelons[0][1]) != len(first):
                 raise ValueError(f"step p={p} basis is not linearly independent")
 
     @property
@@ -122,10 +132,10 @@ def _rank(vectors, d: int) -> int:
 def normalize_chart(flag: FlagPoint):
     """Canonical affine-chart coordinates of every step, concatenated.
 
-    For each step, one fraction-free elimination (linalg.
-    fraction_free_rref) of the s x d matrix whose rows are the basis
-    vectors, each scaled by the product of its distinct non-unit
-    denominators.  Its pivot columns are the greedy, hence
+    For each step, the fraction-free elimination (linalg.
+    fraction_free_rref) that FlagPoint ran on the s x d matrix whose rows
+    are the basis vectors, each scaled by the product of its distinct
+    non-unit denominators.  Its pivot columns are the greedy, hence
     lexicographically first, set of rows of the d x s basis matrix M
     whose maximal minor B is nonsingular (the independent sets of a
     matrix form a matroid).  Every row ends with the same pivot entry,
@@ -140,9 +150,7 @@ def normalize_chart(flag: FlagPoint):
     """
     field = flag.field
     coords = []
-    for _p, vectors in flag.steps:
-        rows = _poly_rows(vectors)
-        pivots = fraction_free_rref(rows, flag.ambient_dim)
+    for rows, pivots in flag.echelons:
         pivot_set = set(pivots)
         for i in range(flag.ambient_dim):
             if i not in pivot_set:

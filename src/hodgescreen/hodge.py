@@ -3,10 +3,9 @@
 A HodgeNumbers table is the bigraded dimension datum {(p, q): h} of a
 pure structure of some weight; the Tannakian operations (twist, tensor,
 dual, exterior and symmetric powers) act on tables alone, no vector
-spaces attached.  Wedge and sym count per type: a type with h basis
-vectors offers C(h, j) ways to pick j of them for wedge and C(h+j-1, j)
-for sym, and the counts multiply across types, so the cost is
-polynomial in k.
+spaces attached.  Wedge and sym are one knapsack over the basis
+vectors, counting the choices of n vectors by their p-sum, so the cost
+is the dimension times k times the range of p-sums.
 
 A RealizedHodgeStructure carries an actual filtration: bases over Q or
 over a conjugation-stable number field Q(theta).  Validation computes
@@ -116,40 +115,40 @@ def tensor(a: HodgeNumbers, b: HodgeNumbers) -> HodgeNumbers:
     return HodgeNumbers(a.weight + b.weight, out)
 
 
-def _power(numbers: HodgeNumbers, k: int, ways) -> HodgeNumbers:
-    """k-th power whose type of dimension h offers ways(h, j) choices of
-    j basis vectors; a choice of j from type (p, q) adds (j*p, j*q)."""
-    partial = {(0, 0, 0): 1}  # (vectors chosen, p sum, q sum) -> count
-    for p, q in sorted(numbers.dims, reverse=True):
-        h = numbers.dims[(p, q)]
-        grown: dict = {}
-        for (n, ps, qs), count in partial.items():
-            for j in range(k - n + 1):
-                choices = ways(h, j)
-                if not choices:
-                    break
-                key = (n + j, ps + j * p, qs + j * q)
-                grown[key] = grown.get(key, 0) + count * choices
-        partial = grown
-    return HodgeNumbers(numbers.weight * k, {
-        (ps, qs): count for (n, ps, qs), count in partial.items() if n == k
-    })
+def _power(numbers: HodgeNumbers, k: int, repeat: bool) -> HodgeNumbers:
+    """k-th exterior (repeat False) or symmetric (repeat True) power, as a
+    knapsack over the basis vectors: rows[n] maps the p-sum of the
+    choices of n vectors to their count.  Each vector is folded in once,
+    by n descending when it may be chosen at most once and by n ascending
+    when it may be chosen again; a choice of k vectors with p-sum s has
+    type (s, weight*k - s)."""
+    rows = [{} for _ in range(k + 1)]
+    rows[0][0] = 1
+    order = range(k) if repeat else range(k - 1, -1, -1)
+    for (p, _q), h in sorted(numbers.dims.items(), reverse=True):
+        for _ in range(h):
+            for n in order:
+                grown = rows[n + 1]
+                for ps, count in rows[n].items():
+                    grown[ps + p] = grown.get(ps + p, 0) + count
+    weight = numbers.weight * k
+    return HodgeNumbers(weight, {(ps, weight - ps): count for ps, count in rows[k].items()})
 
 
 def wedge(numbers: HodgeNumbers, k: int) -> HodgeNumbers:
-    """k-th exterior power: C(h, j) choices of j vectors from a type."""
+    """k-th exterior power: each basis vector is chosen at most once."""
     if k < 0:
         raise ValueError("negative exterior power")
     if k > numbers.total_dim():
         raise ValueError(f"wedge^{k} of a {numbers.total_dim()}-dimensional structure vanishes")
-    return _power(numbers, k, math.comb)
+    return _power(numbers, k, repeat=False)
 
 
 def sym(numbers: HodgeNumbers, k: int) -> HodgeNumbers:
-    """k-th symmetric power: C(h+j-1, j) choices of j vectors from a type."""
+    """k-th symmetric power: a basis vector may be chosen again."""
     if k < 0:
         raise ValueError("negative symmetric power")
-    return _power(numbers, k, lambda h, j: math.comb(h + j - 1, j))
+    return _power(numbers, k, repeat=True)
 
 
 def filtration_dims(numbers: HodgeNumbers):
@@ -189,21 +188,6 @@ class RealizedHodgeStructure:
     @property
     def weight(self) -> int:
         return self.numbers.weight
-
-    def step_matrix(self, p: int) -> ExactMatrix:
-        """Basis matrix (columns) of F^p for any integer p."""
-        d = self.dim
-        jumps = [jp for jp, _ in filtration_dims(self.numbers)]
-        if not any(jp >= p for jp in jumps):
-            return ExactMatrix.zeros(self.field, d, 0)
-        candidates = [jp for jp in jumps if jp >= p]
-        target = min(candidates)
-        if target == min(jumps):
-            return ExactMatrix.identity(self.field, d)
-        for sp, vectors in self.steps:
-            if sp == target:
-                return ExactMatrix.from_columns(self.field, vectors, nrows=d)
-        raise NotAHodgeFiltration(f"no step listed for jump p = {target}")
 
 
 def realize_and_validate(structure: RealizedHodgeStructure) -> RealizedHodgeStructure:
@@ -248,21 +232,20 @@ def realize_and_validate(structure: RealizedHodgeStructure) -> RealizedHodgeStru
         if rank(stacked) != matrices[lower].ncols:
             raise NotAHodgeFiltration(f"F^{upper} is not contained in F^{lower}")
 
-    conj = field.conj
-    n = structure.weight
+    # Every p and q of a type is a jump, since h(p,q) = h(q,p); the one
+    # jump not in matrices is the lowest, where F^p is the whole space.
+    whole = ExactMatrix.identity(field, d)
     decomposition = {}
     all_vectors = []
     for (p, q), h in sorted(structure.numbers.dims.items(), reverse=True):
-        fp = structure.step_matrix(p) if p not in matrices else matrices[p]
-        fq = structure.step_matrix(q) if q not in matrices else matrices[q]
-        fq_bar = fq.map_entries(conj)
+        fp = matrices.get(p, whole)
+        fq_bar = matrices.get(q, whole).map_entries(field.conj)
         if fp.ncols == d:
-            piece = fq_bar.columns() if fq_bar.ncols < d else ExactMatrix.identity(field, d).columns()
-            piece = list(piece)
+            piece = fq_bar.columns()
         elif fq_bar.ncols == d:
-            piece = list(fp.columns())
+            piece = fp.columns()
         else:
-            piece = list(intersection_basis(fp, fq_bar))
+            piece = intersection_basis(fp, fq_bar)
         if len(piece) != h:
             raise NotAHodgeFiltration(
                 f"piece H^{p},{q} has dimension {len(piece)}, declared {h}"

@@ -115,10 +115,6 @@ class ExactMatrix:
     def map_entries(self, fn):
         return ExactMatrix(self.field, [[fn(a) for a in row] for row in self.rows])
 
-    def submatrix(self, row_idx, col_idx=None):
-        cols = range(self.ncols) if col_idx is None else col_idx
-        return ExactMatrix(self.field, [[self.rows[i][j] for j in cols] for i in row_idx])
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)

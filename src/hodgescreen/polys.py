@@ -48,9 +48,6 @@ class PolyRing:
         exp = tuple(1 if i == idx else 0 for i in range(self.nvars))
         return Poly(self, {exp: self.field.one()})
 
-    def gens(self):
-        return tuple(self.gen(n) for n in self.names)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
@@ -138,9 +135,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         field = self.ring.field
@@ -158,18 +152,6 @@ class Poly:
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def scale(self, c) -> "Poly":
         c = self.ring.field.coerce(c)

@@ -104,12 +104,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
-
     def __add__(self, other):
         other = self._coerce(other)
         return RatFunc(
@@ -126,9 +120,6 @@ class RatFunc:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         return RatFunc(self.field, self.num * other.num, self.den * other.den)
@@ -140,9 +131,6 @@ class RatFunc:
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.field, self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -102,6 +102,9 @@ def test_trdeg_command_records_the_certificate():
     assert cert["seed"] == 11 and cert["evaluated_rank"] == 3
     unseeded = run("trdeg", "--json", str(SPECS / "weight1-g2.json"))
     assert json.loads(unseeded.stdout)["trdeg"]["certificate"] is None
+    text = run("trdeg", "--seed", "11", str(SPECS / "weight1-g2.json"))
+    point = ", ".join(str(x) for x in cert["point"])
+    assert f"  certificate        rank 3 at ({point})" in text.stdout.splitlines()
 
 
 def test_trdeg_requires_a_flag(tmp_path):
@@ -229,6 +232,13 @@ def test_hodge_operations():
     assert json.loads(wedge2.stdout)["hodge_numbers"]["dims"] == [[1, 1, 1]]
     twist = run("hodge", "twist", "--json", str(SPECS / "elliptic-gsp2.json"), "1")
     assert json.loads(twist.stdout)["hodge_numbers"]["weight"] == -1
+    sym3 = run("hodge", "sym", str(SPECS / "elliptic-gsp2.json"), "3")
+    assert "hodge numbers      weight 3   h(3,0)=1  h(2,1)=1  h(1,2)=1  h(0,3)=1" in sym3.stdout
+    sym40 = run("hodge", "sym", "--json", str(SPECS / "elliptic-gsp2.json"), "40")
+    assert json.loads(sym40.stdout)["hodge_numbers"]["total_dim"] == 41
+    wedge3 = run("hodge", "wedge", str(SPECS / "elliptic-gsp2.json"), "3")
+    assert wedge3.returncode == 3 and wedge3.stdout == ""
+    assert wedge3.stderr == "math error (MathDomainError): wedge^3 of a 2-dimensional structure vanishes\n"
 
 
 def test_hodge_arity_errors():
@@ -296,3 +306,71 @@ def test_sympy_stays_off_the_runtime_path(tmp_path):
                     if line.rsplit("|", 1)[-1].strip() in ("dataclasses", "inspect")]
     imports = re.compile(r"^\s*(import|from) (sympy|jsonschema|dataclasses)\b", re.M)
     assert not [p for p in (ROOT / "src").rglob("*.py") if imports.search(p.read_text())]
+
+
+def test_gand_group_is_graded_and_reported(tmp_path):
+    doc = json.loads((SPECS / "gsp4-cy.json").read_text())
+    doc["gand_group"] = {"kind": "gl", "n": 4}
+    payload = json.loads(run("screen", "--json", spec_text=doc, tmp_path=tmp_path).stdout)
+    assert payload["invariants"]["dim_g"] == 11
+    assert payload["gand_invariants"]["dim_g"] == 16
+    assert len(payload["chain_identity"]) == 2
+    text = run("screen", spec_text=doc, tmp_path=tmp_path)
+    assert text.returncode == payload["exit_code"]
+    lines = text.stdout.splitlines()
+    side = lines.index("invariants (motivic Galois model side)")
+    assert lines[side + 1] == "  dim g              16"
+    check = json.loads(run("lie-check", "--json", spec_text=doc, tmp_path=tmp_path).stdout)
+    assert check["gand_group"] == {"ambient_dim": 4, "dim": 16, "name": "gl(4)"}
+
+
+SYMPLECTIC_4 = [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]
+
+
+def test_polarization_check_skipped_warnings(tmp_path):
+    no_flag = json.loads((SPECS / "gsp4-cy.json").read_text())
+    del no_flag["flag_point"]
+    no_flag["trdeg_override"] = 0
+    no_flag["polarization"] = {"matrix": SYMPLECTIC_4}
+    params = json.loads((SPECS / "gsp4-cy-generic.json").read_text())
+    params["polarization"] = {"matrix": SYMPLECTIC_4}
+    no_conj = json.loads((SPECS / "torus-cm.json").read_text())
+    del no_conj["flag_point"]["field"]["conjugate_image"]
+    for doc, code, warning in (
+        (no_flag, 10, "polarization check skipped: it needs explicit flag_point coordinates"),
+        (params, 0, "polarization check skipped: the flag has free parameters, and "
+                    "positivity is decided only for fully specified coordinates"),
+        (no_conj, 0, "polarization check skipped: the coordinate field declares no "
+                     "complex conjugation (set conjugate_image)"),
+    ):
+        payload = json.loads(run("screen", "--json", spec_text=doc, tmp_path=tmp_path).stdout)
+        assert payload["exit_code"] == code
+        assert payload["polarization"] is None
+        assert payload["warnings"][-1] == warning
+        text = run("screen", spec_text=doc, tmp_path=tmp_path)
+        assert text.returncode == code
+        assert f"  - {warning}" in text.stdout.splitlines()
+        assert "\npolarization\n" not in text.stdout
+
+
+def test_asymmetric_levels_are_warned_about(tmp_path):
+    """The upper-triangular Borel of gl(2) is closed and normalized by
+    diag(1, 0), but has a level-1 piece and no level -1 piece."""
+    doc = {
+        "group": {"kind": "custom", "n": 2, "basis": [
+            [["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]},
+        "cocharacter": {"lambda": [1, 0]},
+        "hodge_numbers": {"weight": 1, "dims": [[1, 0, 1], [0, 1, 1]]},
+        "trdeg_override": 0,
+        "conjectures": {"motivated": True, "gpc": True, "ggpc": True},
+    }
+    for command in ("invariants", "screen"):
+        proc = run(command, "--json", spec_text=doc, tmp_path=tmp_path)
+        payload = json.loads(proc.stdout)
+        assert payload["invariants"]["symmetric_grading"] is False
+        assert payload["warnings"][-1] == (
+            "level dimensions are not symmetric under k -> -k, which cannot happen "
+            "for a reductive algebra; check the declared basis")
+        text = run(command, spec_text=doc, tmp_path=tmp_path)
+        assert "  symmetric grading  no" in text.stdout.splitlines()
+        assert "  - level dimensions are not symmetric" in text.stdout

@@ -1,6 +1,8 @@
 """Parametric flags, chart normalization, transcendence degree."""
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -27,6 +29,8 @@ from hodgescreen.flags import (
 from hodgescreen.grading import CocharGrading
 
 from support import (
+    ENV,
+    ROOT,
     oracle_chart,
     oracle_trdeg,
     random_poly_flag,
@@ -171,7 +175,7 @@ def test_normalize_chart_matches_the_minor_search_oracle(two_steps):
         for ours, theirs in zip(coords, expected):
             assert sympy.cancel(ratfunc_to_sympy(ours, syms) - theirs) == 0
         off_top += any(
-            rank(ExactMatrix.from_columns(flag.field, v).submatrix(range(len(v)))) < len(v)
+            rank(ExactMatrix(flag.field, [x[: len(v)] for x in v])) < len(v)
             for _p, v in flag.steps
         )
     assert off_top  # some charts do not sit on the top rows
@@ -446,3 +450,41 @@ def test_maximality_is_a_comparison_with_the_flag_variety():
     result = trdeg(flag)
     assert is_maximal_transcendence(result, CocharGrading(3, {-1: 1, 0: 1, 1: 1}))
     assert not is_maximal_transcendence(result, CocharGrading(4, {-1: 2, 0: 2, 1: 0}))
+
+
+_CHART_TERMS = """
+import random
+from fractions import Fraction
+from hodgescreen import FlagPoint, FunctionField, QQ, trdeg
+
+rng = random.Random(2001)
+field = FunctionField(QQ, ("t1", "t2"))
+t1, t2 = field.gens()
+
+def form():
+    return (field.coerce(Fraction(rng.randint(-3, 3)))
+            + rng.choice((-3, -2, -1, 1, 2, 3)) * t1 + rng.choice((-3, -2, -1, 1, 2, 3)) * t2)
+
+flag = FlagPoint(field, 4, ((1, tuple(tuple(form() for _ in range(4)) for _ in range(2))),))
+result = trdeg(flag, seed=7)
+print(result.value, result.certificate)
+for c in result.chart_coordinates:
+    print(list(c.num.terms.items()), list(c.den.terms.items()))
+"""
+
+
+def test_chart_term_order_does_not_depend_on_the_hash_seed():
+    """A seeded trdeg of a generic (d, s, k) = (4, 2, 2) flag lists the
+    terms of every chart numerator and denominator in the same order in
+    fresh interpreters with different string hash seeds."""
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _CHART_TERMS], capture_output=True,
+                              text=True, timeout=120, cwd=ROOT,
+                              env={**ENV, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert lines[0].startswith("2 {'seed': 7")
+    assert len(lines) == 1 + 4

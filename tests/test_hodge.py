@@ -108,6 +108,7 @@ def test_wedge_and_sym_are_polynomial_in_k():
     assert sym(cubic, 8).total_dim() == comb(27, 8)
     assert wedge(cubic, 10).total_dim() == comb(20, 10)
     assert sym(HodgeNumbers(2, {(2, 0): 3, (0, 2): 3}), 60).total_dim() == comb(65, 60)
+    assert sym(cubic, 200).total_dim() == comb(20 + 200 - 1, 200)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
 
@@ -192,14 +193,72 @@ def test_nesting_is_enforced():
         realize_and_validate(not_nested)
 
 
-def test_step_matrix_edges():
+def weight_two_structure():
+    """h(2,0) = h(1,1) = h(0,2) = 1 over Q(i): F^2 = <(1, i, 0)> and
+    F^1 = F^2 + <(0, 0, 1)>, so H^{1,1} = F^1 intersect conj(F^1) is a
+    proper intersection."""
     qi = gaussian_field()
-    i = qi.gen()
-    s = elliptic_structure(qi, (qi.one(), i))
-    assert s.step_matrix(2).ncols == 0
-    assert s.step_matrix(1).ncols == 1
-    assert s.step_matrix(0).ncols == 2
-    assert s.step_matrix(-5).ncols == 2
+    one, zero, i = qi.one(), qi.zero(), qi.gen()
+    numbers = HodgeNumbers(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    top = (one, i, zero)
+    return qi, RealizedHodgeStructure(
+        qi, numbers, steps=((2, (top,)), (1, (top, (zero, zero, one)))))
+
+
+def test_weight_two_pieces_come_from_the_intersection():
+    qi, structure = weight_two_structure()
+    one, zero, i = qi.one(), qi.zero(), qi.gen()
+    pieces = realize_and_validate(structure).decomposition
+    assert pieces == {
+        (2, 0): ((one, i, zero),),
+        (1, 1): ((zero, zero, one),),
+        (0, 2): ((one, -i, zero),),
+    }
+
+
+def test_weight_two_polarization_over_the_gaussian_field():
+    _qi, structure = weight_two_structure()
+    valid = polarization_check(structure, PolarizationForm(2, ((-1, 0, 0), (0, -1, 0), (0, 0, 1))))
+    assert valid.status == "valid"
+    negative = polarization_check(structure, PolarizationForm(2, ((-1, 0, 0), (0, -1, 0), (0, 0, -1))))
+    assert negative.status == "positivity_fails"
+    assert negative.detail == "i^(1-1) S(w, conj w) is not positive on H^1,1 (value -1)"
+    assert negative.witness == Fraction(-1)
+    mixed = polarization_check(structure, PolarizationForm(2, ((-1, 0, 1), (0, -1, 0), (1, 0, 1))))
+    assert mixed.status == "morphism_fails"
+    assert mixed.detail == "S does not vanish on H^2,0 x H^1,1 (value 1)"
+
+
+def test_gram_schmidt_over_a_two_dimensional_piece():
+    """F^1 = <(1, i, 0, 0), (1, i, 1, i)>: the second vector has a nonzero
+    component along the first, so Gram-Schmidt subtracts it.  With the
+    second symplectic block negated, the projected vector (0, 0, 1, i)
+    carries the negative value; unprojected, the form would vanish on it."""
+    qi = gaussian_field()
+    one, zero, i = qi.one(), qi.zero(), qi.gen()
+    numbers = HodgeNumbers(1, {(1, 0): 2, (0, 1): 2})
+    structure = RealizedHodgeStructure(
+        qi, numbers, steps=((1, ((one, i, zero, zero), (one, i, one, i))),))
+    pairing = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+    assert polarization_check(structure, PolarizationForm(1, pairing)).is_valid
+    mixed = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
+    result = polarization_check(structure, PolarizationForm(1, mixed))
+    assert result.status == "positivity_fails"
+    assert result.detail == "i^(1-0) S(w, conj w) is not positive on H^1,0 (value -2)"
+    assert result.witness == Fraction(-2)
+
+
+def test_rational_polarization_of_a_single_type():
+    """Over Q with one type (0, 0) every piece is the whole space and the
+    hermitian form is S itself."""
+    structure = RealizedHodgeStructure(QQ, HodgeNumbers(0, {(0, 0): 2}), steps=())
+    assert realize_and_validate(structure).decomposition == {
+        (0, 0): ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
+    assert polarization_check(structure, PolarizationForm(0, ((2, 1), (1, 1)))).is_valid
+    indefinite = polarization_check(structure, PolarizationForm(0, ((1, 0), (0, -1))))
+    assert indefinite.status == "positivity_fails"
+    assert indefinite.detail == "i^(0-0) S(w, conj w) is not positive on H^0,0 (value -1)"
+    assert indefinite.witness == Fraction(-1)
 
 
 SQUARE_LATTICE_PAIRING = PolarizationForm(1, ((0, 1), (-1, 0)))

@@ -2,12 +2,15 @@
 call uses are imported."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import hodgescreen
 
-from support import package_modules_after
+from support import ENV, ROOT, package_modules_after
 
 
 def test_every_public_name_is_its_home_module_object():
@@ -61,3 +64,14 @@ def test_number_field_helpers_load_only_for_a_number_field(spec, code, number_fi
     assert "cli" in loaded
     assert ("intervals" in loaded) is number_field
     assert ("irreducible" in loaded) is number_field
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    """perfbench/spans.py rebinds package functions and methods by name
+    (flags.inverse, RatFunc.derivative, ...), so deleting or renaming one
+    of them breaks the traced benchmark run; install it in a fresh
+    interpreter."""
+    env = {**ENV, "PYTHONPATH": os.pathsep.join((str(ROOT / "perfbench"), ENV["PYTHONPATH"]))}
+    proc = subprocess.run([sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
