@@ -18,7 +18,9 @@ from `intervals`.
 Elements are coordinate vectors in the power basis 1, theta, ...,
 theta^(d-1), that is, polynomials of degree below d: a product is the
 Q[x] product reduced modulo the minimal polynomial, an inverse comes from
-the extended Euclidean algorithm.  Arithmetic is exact; only sign
+the extended Euclidean algorithm.  Both are the univariate kernel of
+`irreducible` over its RATIONAL ring, the same routines that test the
+minimal polynomial for irreducibility.  Arithmetic is exact; only sign
 determination under the designated embedding touches intervals, and it
 refines the enclosure of theta on demand within an explicit budget
 (PrecisionExhausted beyond).
@@ -31,13 +33,16 @@ sigma(theta) is refined until it lands inside the mirror image of the
 isolating rectangle, which pins it to the unique root conj(theta) living
 there.  Both checks are exact.
 
-The interval and irreducibility helpers are loaded on the first
-NumberField (or gaussian_field), since grading and flags over Q never
-build one; reading one as an attribute of this module loads them too.
-They are bound as module globals, and NumberField calls them through
-those globals, so a wrapper bound on this module (for example a tracer's
-around certify_isolating) is called, and loading never replaces a name
-bound first.
+The helpers in _HELPERS are loaded on the first NumberField (or
+gaussian_field), since grading and flags over Q never build one; reading
+one as an attribute of this module loads them too.  From `intervals`
+come the rectangles, certify_isolating, eval_poly_rect and newton_step;
+from `irreducible` come is_irreducible_over_q and the Q[x] kernel
+(strip, poly_mul, poly_divmod, poly_xgcd and poly_derivative, each
+called with RATIONAL).  They are bound as module globals, and
+NumberField calls them through those globals, so a wrapper bound on
+this module (for example a tracer's around certify_isolating) is called,
+and loading never replaces a name bound first.
 """
 
 from __future__ import annotations
@@ -51,9 +56,9 @@ _SIGN_BUDGET = 96
 
 _HELPERS = {
     "intervals": ("Interval", "Rectangle", "certify_isolating", "eval_poly_rect",
-                  "newton_step", "poly_derivative"),
-    "irreducible": ("_poly_divmod", "_poly_mul", "_poly_xgcd", "_strip",
-                    "is_irreducible_over_q"),
+                  "newton_step"),
+    "irreducible": ("RATIONAL", "is_irreducible_over_q", "poly_derivative",
+                    "poly_divmod", "poly_mul", "poly_xgcd", "strip"),
 }
 
 
@@ -162,18 +167,17 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         other = self._check_same(other)
-        product = _poly_mul(self.coords, other.coords)
-        return self.field._from_poly(_poly_divmod(product, self.field.minpoly)[1])
+        product = poly_mul(self.coords, other.coords, RATIONAL)
+        return self.field._from_poly(poly_divmod(product, self.field.minpoly, RATIONAL)[1])
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero in a number field")
-        g, u, _ = _poly_xgcd(self.coords, self.field.minpoly)
-        # g is a nonzero constant because the minimal polynomial is irreducible.
-        scale = 1 / g[0]
-        return self.field._from_poly([c * scale for c in u])
+        # The monic gcd is 1 because the minimal polynomial is irreducible.
+        _, u, _ = poly_xgcd(self.coords, self.field.minpoly, RATIONAL)
+        return self.field._from_poly(u)
 
     def __truediv__(self, other):
         return self * self._check_same(other).inverse()
@@ -238,7 +242,7 @@ class NumberField:
                  conjugate_image=None):
         _load_helpers()
         coeffs = tuple(parse_rational(c) for c in minpoly)
-        coeffs = tuple(_strip(list(coeffs)))
+        coeffs = tuple(strip(coeffs))
         if len(coeffs) < 3:
             raise ValueError("number field degree must be at least 2; use QQ for degree 1")
         if coeffs[-1] != 1:
@@ -251,7 +255,7 @@ class NumberField:
         self.name = name
         self._initial_rect = embedding
         self._rect = certify_isolating(coeffs, embedding)
-        self._deriv = poly_derivative(coeffs)
+        self._deriv = poly_derivative(coeffs, RATIONAL)
         self._conj_image = None
         if conjugate_image is not None:
             sigma_theta = self.element(conjugate_image)

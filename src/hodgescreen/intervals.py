@@ -12,12 +12,15 @@ standard existence and uniqueness argument applies: R contains exactly one
 (simple) root of p, and it lies in N(R).  That containment is what
 certifies a user-supplied rectangle at field construction time, and the
 same iteration later shrinks the rectangle whenever a sign decision needs
-more precision.
+more precision.  p' is the Q[x] derivative of `irreducible`'s univariate
+kernel, this module's one import from the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .irreducible import RATIONAL, poly_derivative
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -164,10 +167,6 @@ def eval_poly_rect(coeffs, rect: Rectangle) -> Rectangle:
     return acc
 
 
-def poly_derivative(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
-
-
 def newton_step(coeffs, deriv, rect: Rectangle):
     """One interval Newton step.
 
@@ -195,7 +194,7 @@ def certify_isolating(coeffs, rect: Rectangle, rounds: int = 64) -> Rectangle:
     Returns the refined rectangle.  Raises ValueError when the rectangle
     provably contains no root or is too coarse to certify within budget.
     """
-    deriv = poly_derivative(coeffs)
+    deriv = poly_derivative(coeffs, RATIONAL)
     current = rect
     for _ in range(rounds):
         try:

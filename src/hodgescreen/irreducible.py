@@ -29,10 +29,13 @@ step 6 makes at most 2^(r-1) - 1 trial divisions.  Spec documents cap
 the minimal polynomial at degree 16, so r <= 16 and at most 32767
 divisions, each preceded by a constant-term test.
 
-Polynomials are coefficient lists in ascending degree order.  The exact
-Q[x] helpers at the top are also the number fields' product and
-inverse routines.
-This module imports only from the standard library.
+Polynomials are coefficient lists in ascending degree order.  The
+univariate helpers at the top (strip, add, sub, mul, divmod, a monic
+xgcd and the derivative) serve every coefficient ring here: each takes
+the ring as a pair (reduce, inverse), RATIONAL for Q and residues_mod(m)
+for Z/m.  Over Q they are also the number fields' product and inverse
+routines, and poly_derivative is the derivative that interval Newton
+refines with.  This module imports only from the standard library.
 """
 
 from __future__ import annotations
@@ -45,88 +48,42 @@ from itertools import combinations
 _PRIMES_TRIED = 5
 
 
-# -- Q[x] ------------------------------------------------------------------
+# -- univariate arithmetic over a coefficient ring ---------------------------
+#
+# A ring is a pair (reduce, inverse): reduce brings a coefficient to its
+# normal form and inverse inverts a reduced unit.  Inputs may be
+# unreduced; every result is reduced and stripped of leading zeros.
 
 
-def _strip(coeffs):
+RATIONAL = (Fraction, lambda c: 1 / c)
+
+
+def residues_mod(m):
+    """Z/m as a ring; inverse is defined on the units mod m."""
+    return (lambda c: c % m, lambda c: pow(c, -1, m))
+
+
+def strip(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder in Q[x]; coefficient lists ascending."""
-    a = _strip(a)
-    b = _strip(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    inv_lead = 1 / b[-1]
-    while r and len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = r[-1] * inv_lead
-        q[shift] = factor
-        for i, bi in enumerate(b):
-            r[shift + i] -= factor * bi
-        r = _strip(r)
-    return q, r
-
-
-def _poly_xgcd(a, b):
-    """Extended Euclid in Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = _strip(a), _strip(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _strip(out)
-
-
-def _poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _strip(out)
-
-
-# -- (Z/m)[x] --------------------------------------------------------------
-
-
-def _reduce(a, m):
-    return _strip(c % m for c in a)
-
-
-def _add(a, b, m):
+def poly_add(a, b, ring):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, bi in enumerate(b):
         out[i] += bi
-    return _reduce(out, m)
+    return strip(map(ring[0], out))
 
 
-def _sub(a, b, m):
-    return _add(a, [-c for c in b], m)
+def poly_sub(a, b, ring):
+    return poly_add(a, [-c for c in b], ring)
 
 
-def _mul(a, b, m):
+def poly_mul(a, b, ring):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -134,50 +91,56 @@ def _mul(a, b, m):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _reduce(out, m)
+    return strip(map(ring[0], out))
 
 
-def _divmod_monic(a, b, m):
-    """Quotient and remainder mod m by a monic b."""
-    r = _reduce(a, m)
-    q = [0] * max(0, len(r) - len(b) + 1)
+def poly_divmod(a, b, ring):
+    """Quotient and remainder by b, whose leading coefficient is a unit."""
+    reduce, inverse = ring
+    r, b = strip(map(reduce, a)), strip(map(reduce, b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = inverse(b[-1])
+    q = [reduce(0)] * max(0, len(r) - len(b) + 1)
     while len(r) >= len(b):
         shift = len(r) - len(b)
-        factor = r[-1]
+        factor = reduce(r[-1] * inv_lead)
         q[shift] = factor
         for i, bi in enumerate(b):
-            r[shift + i] -= factor * bi
-        r = _reduce(r, m)
-    return _strip(q), r
+            r[shift + i] = reduce(r[shift + i] - factor * bi)
+        r = strip(r)
+    return q, r
 
 
-def _monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _xgcd_p(a, b, p):
-    """Extended Euclid in F_p[x]: (g, u, v) with u*a + v*b = g; g is monic
-    when b is nonzero."""
-    r0, r1 = _reduce(a, p), _reduce(b, p)
-    u0, u1, v0, v1 = [1], [], [], [1]
+def poly_xgcd(a, b, ring):
+    """Extended Euclid: (g, u, v) with u*a + v*b = g, the monic gcd of a
+    and b (g = [] when both are zero).  Over a field every nonzero
+    remainder has a unit leading coefficient."""
+    reduce, inverse = ring
+    r0, r1 = strip(map(reduce, a)), strip(map(reduce, b))
+    u0, u1, v0, v1 = [reduce(1)], [], [], [reduce(1)]
     while r1:
-        inv = pow(r1[-1], -1, p)
-        r1, u1, v1 = ([c * inv % p for c in x] for x in (r1, u1, v1))
-        q, r = _divmod_monic(r0, r1, p)
+        q, r = poly_divmod(r0, r1, ring)
         r0, r1 = r1, r
-        u0, u1 = u1, _sub(u0, _mul(q, u1, p), p)
-        v0, v1 = v1, _sub(v0, _mul(q, v1, p), p)
-    return r0, u0, v0
+        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1, ring), ring)
+        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1, ring), ring)
+    if not r0:
+        return r0, u0, v0
+    scale = [inverse(r0[-1])]
+    return tuple(poly_mul(scale, x, ring) for x in (r0, u0, v0))
 
 
-def _powmod(base, e, modulus, p):
-    """base^e mod (modulus, p), for a monic modulus."""
-    result, base = [1], _divmod_monic(base, modulus, p)[1]
+def poly_derivative(coeffs, ring):
+    return strip(map(ring[0], (k * c for k, c in enumerate(coeffs) if k)))
+
+
+def _powmod(base, e, modulus, ring):
+    """base^e modulo the polynomial modulus."""
+    result, base = [1], poly_divmod(base, modulus, ring)[1]
     while e:
         if e & 1:
-            result = _divmod_monic(_mul(result, base, p), modulus, p)[1]
-        base = _divmod_monic(_mul(base, base, p), modulus, p)[1]
+            result = poly_divmod(poly_mul(result, base, ring), modulus, ring)[1]
+        base = poly_divmod(poly_mul(base, base, ring), modulus, ring)[1]
         e >>= 1
     return result
 
@@ -188,16 +151,17 @@ def _powmod(base, e, modulus, p):
 def _distinct_degree(f, p):
     """[(d, product of the irreducible factors of degree d)] of a monic
     squarefree f mod p."""
+    ring = residues_mod(p)
     out, x, h = [], [0, 1], [0, 1]
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, p, f, p)
-        g = _xgcd_p(_sub(h, x, p), f, p)[0]
+        h = _powmod(h, p, f, ring)
+        g = poly_xgcd(poly_sub(h, x, ring), f, ring)[0]
         if len(g) > 1:
             out.append((d, g))
-            f = _divmod_monic(f, g, p)[0]
-            h = _divmod_monic(h, f, p)[1]
+            f = poly_divmod(f, g, ring)[0]
+            h = poly_divmod(h, f, ring)[1]
     if len(f) > 1:
         out.append((len(f) - 1, f))
     return out
@@ -207,13 +171,14 @@ def _equal_degree(g, d, p, rng):
     """Monic irreducible factors of g mod p, all of degree d."""
     if len(g) - 1 == d:
         return [g]
+    ring = residues_mod(p)
     while True:
-        a = _strip(rng.randrange(p) for _ in range(len(g) - 1))
-        b = _sub(_powmod(a, (p**d - 1) // 2, g, p), [1], p)
-        h = _xgcd_p(b, g, p)[0]
+        a = strip(rng.randrange(p) for _ in range(len(g) - 1))
+        b = poly_sub(_powmod(a, (p**d - 1) // 2, g, ring), [1], ring)
+        h = poly_xgcd(b, g, ring)[0]
         if 1 < len(h) < len(g):
             return (_equal_degree(h, d, p, rng)
-                    + _equal_degree(_divmod_monic(g, h, p)[0], d, p, rng))
+                    + _equal_degree(poly_divmod(g, h, ring)[0], d, p, rng))
 
 
 def _odd_primes():
@@ -233,18 +198,20 @@ def _hensel_lift(f, h, p, bound):
     """Lift the monic factor h of f mod p to a modulus m > bound
     (quadratic Hensel steps, Modern Computer Algebra Algorithm 15.10)."""
     m = p
-    g = _divmod_monic(f, h, p)[0]
-    _, s, t = _xgcd_p(g, h, p)
+    ring = residues_mod(p)
+    g = poly_divmod(f, h, ring)[0]
+    _, s, t = poly_xgcd(g, h, ring)
     while m <= bound:
         m *= m
-        e = _sub(f, _mul(g, h, m), m)
-        q, r = _divmod_monic(_mul(s, e, m), h, m)
-        g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
-        h = _add(h, r, m)
-        b = _sub(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m)
-        c, d = _divmod_monic(_mul(s, b, m), h, m)
-        s = _sub(s, d, m)
-        t = _sub(t, _add(_mul(t, b, m), _mul(c, g, m), m), m)
+        ring = residues_mod(m)
+        e = poly_sub(f, poly_mul(g, h, ring), ring)
+        q, r = poly_divmod(poly_mul(s, e, ring), h, ring)
+        g = poly_add(g, poly_add(poly_mul(t, e, ring), poly_mul(q, g, ring), ring), ring)
+        h = poly_add(h, r, ring)
+        b = poly_sub(poly_add(poly_mul(s, g, ring), poly_mul(t, h, ring), ring), [1], ring)
+        c, d = poly_divmod(poly_mul(s, b, ring), h, ring)
+        s = poly_sub(s, d, ring)
+        t = poly_sub(t, poly_add(poly_mul(t, b, ring), poly_mul(c, g, ring), ring), ring)
     return h, m
 
 
@@ -262,14 +229,14 @@ def _divides(a, b):
         shift = len(r) - len(a)
         for i, ai in enumerate(a):
             r[shift + i] -= factor * ai
-        r = _strip(r)
+        r = strip(r)
     return not r
 
 
 def _has_factor(f, factors, m):
     """Is some subset product of the lifted factors, of degree <= n/2, a
     factor of f over Z?  Each split is tried once, through its small side."""
-    half, lc = (len(f) - 1) // 2, f[-1]
+    half, lc, ring = (len(f) - 1) // 2, f[-1], residues_mod(m)
     target = [lc * c for c in f]
     everything = range(len(factors))
     for size in range(1, len(factors)):
@@ -284,7 +251,7 @@ def _has_factor(f, factors, m):
                 continue
             product = [lc]
             for i in subset:
-                product = _mul(product, factors[i], m)
+                product = poly_mul(product, factors[i], ring)
             if _divides(_symmetric(product, m), target):
                 return True
     return False
@@ -293,7 +260,7 @@ def _has_factor(f, factors, m):
 def is_irreducible_over_q(coeffs) -> bool:
     """Is the polynomial with these rational coefficients (constant term
     first) irreducible over Q?  Constants are not."""
-    rational = _strip(Fraction(c) for c in coeffs)
+    rational = strip(Fraction(c) for c in coeffs)
     n = len(rational) - 1
     if n < 1:
         return False
@@ -301,8 +268,8 @@ def is_irreducible_over_q(coeffs) -> bool:
     f = [int(c * scale) for c in rational]
     content = math.gcd(*f)
     f = [c // content for c in f]
-    derivative = [k * c for k, c in enumerate(rational)][1:]
-    if len(_poly_xgcd(rational, derivative)[0]) > 1:
+    derivative = poly_derivative(rational, RATIONAL)
+    if len(poly_xgcd(rational, derivative, RATIONAL)[0]) > 1:
         return False
 
     best = None
@@ -312,9 +279,9 @@ def is_irreducible_over_q(coeffs) -> bool:
             break
         if f[-1] % p == 0:
             continue
-        monic = _monic(_reduce(f, p), p)
-        derivative_p = _reduce([k * c for k, c in enumerate(monic)][1:], p)
-        if len(_xgcd_p(monic, derivative_p, p)[0]) > 1:
+        ring = residues_mod(p)
+        monic = poly_mul([pow(f[-1], -1, p)], f, ring)
+        if len(poly_xgcd(monic, poly_derivative(monic, ring), ring)[0]) > 1:
             continue
         tried += 1
         by_degree = _distinct_degree(monic, p)

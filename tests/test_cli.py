@@ -1,9 +1,12 @@
 """End-to-end runs of the command line, as a subprocess."""
 
 import json
+import math
 import re
 import subprocess
 import sys
+
+from hodgescreen.hodge import SYM_WORK_BOUND
 
 from support import ENV, ROOT
 
@@ -239,6 +242,18 @@ def test_hodge_operations():
     wedge3 = run("hodge", "wedge", str(SPECS / "elliptic-gsp2.json"), "3")
     assert wedge3.returncode == 3 and wedge3.stdout == ""
     assert wedge3.stderr == "math error (MathDomainError): wedge^3 of a 2-dimensional structure vanishes\n"
+
+
+def test_a_sym_power_just_over_the_work_bound_exits_3():
+    # the elliptic table's work estimate is 2 * k * (k + 1)
+    k = math.isqrt(SYM_WORK_BOUND // 2)
+    while 2 * k * (k + 1) <= SYM_WORK_BOUND:
+        k += 1
+    proc = run("hodge", "sym", str(SPECS / "elliptic-gsp2.json"), str(k))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == (f"math error (MathDomainError): sym^{k} of a 2-dimensional "
+                           f"structure is over the work bound: dimension * k * p-sums > "
+                           f"{SYM_WORK_BOUND}\n")
 
 
 def test_hodge_arity_errors():

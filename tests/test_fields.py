@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hodgescreen import ExactMatrix, NumberField, PrecisionExhausted, QQ, gaussian_field
 from hodgescreen import fields
@@ -15,7 +17,17 @@ from hodgescreen.intervals import (
     certify_isolating,
     eval_poly_rect,
 )
-from hodgescreen.irreducible import is_irreducible_over_q
+from hodgescreen.irreducible import (
+    RATIONAL,
+    is_irreducible_over_q,
+    poly_add,
+    poly_derivative,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
+    poly_xgcd,
+    residues_mod,
+)
 
 from support import oracle_is_irreducible, package_modules_after
 
@@ -297,3 +309,89 @@ def test_irreducibility_matches_the_sympy_oracle_on_random_polynomials():
             coeffs = monic(rng.randint(2, 8))
         assert is_irreducible_over_q(coeffs) == oracle_is_irreducible(coeffs), coeffs
     assert 90 <= products <= 150
+
+
+# -- the univariate kernel, over Q and over F_p ----------------------------------
+
+SMALL = settings(max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def ring_and_polys(draw, count):
+    """A ring, Q or F_p for a small prime p, and count polynomials over it
+    of degree below 6, with unreduced coefficients."""
+    p = draw(st.sampled_from((None, 2, 3, 5, 7)))
+    if p is None:
+        ring = RATIONAL
+        coeff = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5),
+                                                         st.integers(1, 4)))
+    else:
+        ring = residues_mod(p)
+        coeff = st.integers(-20, 20)
+    return (ring, *(draw(st.lists(coeff, max_size=6)) for _ in range(count)))
+
+
+def _same(x, y, ring):
+    return poly_sub(x, y, ring) == []
+
+
+@seed(20261101)
+@SMALL
+@given(ring_and_polys(2))
+def test_divmod_leaves_a_remainder_of_lower_degree(drawn):
+    ring, a, b = drawn
+    divisor = poly_add(b, [], ring)
+    if not divisor:
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(a, b, ring)
+        return
+    q, r = poly_divmod(a, b, ring)
+    assert _same(poly_add(poly_mul(q, b, ring), r, ring), a, ring)
+    assert len(r) < len(divisor)
+
+
+@seed(20261102)
+@SMALL
+@given(ring_and_polys(2))
+def test_xgcd_gives_a_monic_common_divisor_and_its_cofactors(drawn):
+    ring, a, b = drawn
+    g, u, v = poly_xgcd(a, b, ring)
+    assert _same(poly_add(poly_mul(u, a, ring), poly_mul(v, b, ring), ring), g, ring)
+    if not poly_add(a, [], ring) and not poly_add(b, [], ring):
+        assert g == []
+        return
+    assert g[-1] == 1
+    assert poly_divmod(a, g, ring)[1] == [] and poly_divmod(b, g, ring)[1] == []
+
+
+@seed(20261103)
+@SMALL
+@given(ring_and_polys(2))
+def test_the_derivative_obeys_the_product_rule(drawn):
+    ring, a, b = drawn
+    left = poly_derivative(poly_mul(a, b, ring), ring)
+    right = poly_add(poly_mul(poly_derivative(a, ring), b, ring),
+                     poly_mul(a, poly_derivative(b, ring), ring), ring)
+    assert _same(left, right, ring)
+
+
+_CUBIC = NumberField(
+    (Fraction(-2), Fraction(0), Fraction(0), Fraction(1)),
+    Rectangle(Interval(Fraction(1), Fraction(3, 2)), Interval(Fraction(-1, 4), Fraction(1, 4))),
+    name="c",
+)
+
+
+@seed(20261104)
+@SMALL
+@given(st.sampled_from((gaussian_field(), _CUBIC)),
+       st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+                min_size=3, max_size=3))
+def test_an_element_times_its_inverse_is_one(field, coords):
+    x = field.element(coords[:field.degree])
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert x * x.inverse() == field.one()
+    assert x.inverse() * x == field.one()

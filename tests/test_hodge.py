@@ -25,6 +25,7 @@ from hodgescreen import (
     tensor,
     wedge,
 )
+from hodgescreen.hodge import SYM_WORK_BOUND
 from hodgescreen.intervals import Interval, Rectangle
 
 from support import random_hodge_table as random_table
@@ -111,6 +112,25 @@ def test_wedge_and_sym_are_polynomial_in_k():
     assert sym(cubic, 200).total_dim() == comb(20 + 200 - 1, 200)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
+
+
+def test_sym_over_the_work_bound_is_refused_before_any_work():
+    # 16 one-dimensional types whose p-sums of up to 7 choices rarely
+    # collide: the bound counts C(k + 15, 15) p-sums, and 16 * 7 * C(22, 15)
+    # is over it, 16 * 6 * C(21, 15) is not.
+    spread = (0, 1, 7, 50, 300, 2000, 13000, 90000)
+    weight = 10**6
+    table = HodgeNumbers(weight, {pq: 1 for p in spread
+                                  for pq in ((p, weight - p), (weight - p, p))})
+    assert 16 * 6 * comb(21, 15) <= SYM_WORK_BOUND < 16 * 7 * comb(22, 15)
+    start = time.monotonic()
+    for k in (7, 10**9):
+        with pytest.raises(ValueError, match=rf"^sym\^{k} of a 16-dimensional structure is over "
+                                             rf"the work bound: dimension \* k \* p-sums > "
+                                             rf"{SYM_WORK_BOUND}$"):
+            sym(table, k)
+    elapsed = time.monotonic() - start
+    assert elapsed < 0.1, f"took {elapsed:.3f}s to refuse"
 
 
 def test_top_wedge_is_the_determinant_line():

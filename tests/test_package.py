@@ -53,6 +53,12 @@ def test_grading_and_flags_load_no_spec_hodge_or_number_field_layer():
                          "irreducible", "cli", "rendering"}
 
 
+def test_irreducible_loads_no_other_module_and_intervals_only_it():
+    # fields loads both lazily, so neither may pull in another layer.
+    assert package_modules_after("import hodgescreen.irreducible") == {"irreducible"}
+    assert package_modules_after("import hodgescreen.intervals") == {"intervals", "irreducible"}
+
+
 @pytest.mark.parametrize("spec, code, number_field", [
     ("gsp4-cy.json", 10, False),
     ("torus-cm.json", 0, True),
