@@ -164,16 +164,13 @@ def cmd_trdeg(args) -> int:
 
 def cmd_lie_check(args) -> int:
     doc = load_document(args.spec)
-    checks = {
-        "basis_independent": True,
-        "bracket_closed": True,
-        "cocharacter_normalizes": True,
-    }
     grade_report(doc.algebra, doc.cocharacter)
     if doc.gand_algebra is not None:
         grade_report(doc.gand_algebra, doc.cocharacter)
     payload = _common_payload("lie-check", args.spec, doc)
-    payload["checks"] = checks
+    # load_document and grade_report raise before this line if any check fails
+    payload["checks"] = dict.fromkeys(
+        ("basis_independent", "bracket_closed", "cocharacter_normalizes"), True)
     payload["gand_group"] = (
         rp.group_json(doc.gand_algebra) if doc.gand_algebra is not None else None
     )

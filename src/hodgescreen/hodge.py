@@ -5,8 +5,8 @@ pure structure of some weight; the Tannakian operations (twist, tensor,
 dual, exterior and symmetric powers) act on tables alone, no vector
 spaces attached.  Wedge and sym are one knapsack over the basis
 vectors, counting the choices of n vectors by their p-sum, so the cost
-is the dimension times k times the range of p-sums; sym refuses a power
-whose cost would pass SYM_WORK_BOUND, about a second of work.
+is the dimension times the p-sums of each of the k rows; sym refuses a
+power whose cost would pass SYM_WORK_BOUND, one to two seconds of work.
 
 A RealizedHodgeStructure carries an actual filtration: bases over Q or
 over a conjugation-stable number field Q(theta).  Validation computes
@@ -145,11 +145,11 @@ def wedge(numbers: HodgeNumbers, k: int) -> HodgeNumbers:
     return _power(numbers, k, repeat=False)
 
 
-# The largest knapsack sym will run, in units of D * k * (number of
-# p-sums) for a D-dimensional table: a bound for the p-sums is the number
-# of multisets of k types, or k * (p_max - p_min) + 1 if smaller.  One unit
-# took 60-70 ns on tables of dimension 2 to 16 (2 cores, Python 3.11), so
-# the largest accepted power takes about a second.
+# The largest knapsack sym will run, in units of one p-sum moved: each of
+# the D basis vectors walks rows 0 .. k-1, and row n holds at most
+# min(C(n+T-1, T-1), n * (p_max - p_min) + 1) p-sums for T types.  One unit
+# took 70-110 ns on tables of dimension 2 to 16 (2 cores, Python 3.11.7),
+# so the largest accepted power takes one to two seconds.
 SYM_WORK_BOUND = 15_000_000
 
 
@@ -159,11 +159,18 @@ def sym(numbers: HodgeNumbers, k: int) -> HodgeNumbers:
     SYM_WORK_BOUND."""
     if k < 0:
         raise ValueError("negative symmetric power")
-    ps = [p for p, _q in numbers.dims]
-    sums = min(math.comb(k + len(ps) - 1, len(ps) - 1), k * (max(ps) - min(ps)) + 1)
-    if numbers.total_dim() * k * sums > SYM_WORK_BOUND:
-        raise ValueError(f"sym^{k} of a {numbers.total_dim()}-dimensional structure is over "
-                         f"the work bound: dimension * k * p-sums > {SYM_WORK_BOUND}")
+    d, ps = numbers.total_dim(), [p for p, _q in numbers.dims]
+    types, spread = len(ps), max(ps) - min(ps)
+    # one type: one p-sum a row.  More: row n holds at least n + 1, so the
+    # sum passes the bound within about sqrt(2 * SYM_WORK_BOUND / d) rows.
+    work = d * k if types == 1 else 0
+    for n in range(k if types > 1 else 0):
+        work += d * min(math.comb(n + types - 1, types - 1), n * spread + 1)
+        if work > SYM_WORK_BOUND:
+            break
+    if work > SYM_WORK_BOUND:
+        raise ValueError(f"sym^{k} of a {d}-dimensional structure is over the work "
+                         f"bound: dimension * p-sums over the k rows > {SYM_WORK_BOUND}")
     return _power(numbers, k, repeat=True)
 
 

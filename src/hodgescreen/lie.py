@@ -27,10 +27,10 @@ cocharacter of this group".  Past that check the algebra splits along
 the same weight spaces, and adjoint_of_diagonal hands back the basis
 entries of each occurring weight as one block.
 
-Internally the hot paths (closure checking, membership) run on sparse
-{position: Fraction} vectors because classical bases have one or two
-nonzero entries per element; the public containers stay dense
-ExactMatrix objects.
+Each basis element is stored once, as a sparse {(i, j): Fraction} matrix,
+because classical bases have one or two nonzero entries per element:
+closure checking, membership and the weight blocks all run on that form.
+The dense ExactMatrix view of a basis is built only when asked for.
 """
 
 from __future__ import annotations
@@ -44,20 +44,24 @@ from .linalg import ExactMatrix, kernel_basis
 CLASSICAL_KINDS = ("gl", "sl", "so", "sp", "gsp", "go", "diag_torus")
 
 
-def _to_sparse(m: ExactMatrix) -> dict:
-    out = {}
-    for i, row in enumerate(m.rows):
-        for j, v in enumerate(row):
-            if v != 0:
-                out[(i, j)] = v
-    return out
+def _entries(element, n: int) -> dict:
+    """One basis element as {(i, j): Fraction} inside n x n, zeros dropped."""
+    if isinstance(element, dict):
+        for i, j in element:
+            if i not in range(n) or j not in range(n):
+                raise ValueError(f"basis entry at {(i, j)} outside {n} x {n}")
+        items = element.items()
+    else:
+        m = element if isinstance(element, ExactMatrix) else ExactMatrix(QQ, element)
+        if m.shape != (n, n):
+            raise ValueError(f"basis matrix of shape {m.shape} in ambient dimension {n}")
+        items = (((i, j), v) for i, row in enumerate(m.rows) for j, v in enumerate(row))
+    entries = ((key, parse_rational(v)) for key, v in items)
+    return {key: v for key, v in entries if v}
 
 
 def _sparse_to_matrix(sp: dict, n: int) -> ExactMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), v in sp.items():
-        rows[i][j] = v
-    return ExactMatrix(QQ, rows)
+    return ExactMatrix(QQ, [[sp.get((i, j), 0) for j in range(n)] for i in range(n)])
 
 
 def _sparse_mul(a: dict, b_by_row: dict) -> dict:
@@ -130,20 +134,18 @@ class _SpanReducer:
 
 
 class MatLieAlgebra:
-    """A Lie algebra given by an explicit matrix basis over Q."""
+    """A Lie algebra given by an explicit matrix basis over Q.
+
+    A basis element is an n x n ExactMatrix, its rows, or a {(i, j): value}
+    dict with every key inside n x n.  Every entry goes through
+    parse_rational, zeros are dropped, and only this sparse form is kept:
+    `basis` builds a tuple of dense ExactMatrix objects on each access.
+    """
 
     def __init__(self, ambient_dim: int, basis, name: str = "user"):
         self.ambient_dim = int(ambient_dim)
         self.name = name
-        self.basis = tuple(
-            b if isinstance(b, ExactMatrix) else ExactMatrix(QQ, b) for b in basis
-        )
-        for b in self.basis:
-            if b.shape != (self.ambient_dim, self.ambient_dim):
-                raise ValueError(
-                    f"basis matrix of shape {b.shape} in ambient dimension {self.ambient_dim}"
-                )
-        self._sparse = [_to_sparse(b) for b in self.basis]
+        self._sparse = [_entries(b, self.ambient_dim) for b in basis]
         self._reducer = _SpanReducer()
         for idx, sp in enumerate(self._sparse):
             if not self._reducer.insert(idx, sp):
@@ -151,8 +153,12 @@ class MatLieAlgebra:
         self._verify_closure()
 
     @property
+    def basis(self) -> tuple:
+        return tuple(_sparse_to_matrix(sp, self.ambient_dim) for sp in self._sparse)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._sparse)
 
     def _verify_closure(self):
         for i in range(self.dim):
@@ -174,8 +180,7 @@ class MatLieAlgebra:
 
     def coordinates(self, m):
         """Coordinates of a matrix in this basis, or None when outside."""
-        sp = _to_sparse(m) if isinstance(m, ExactMatrix) else dict(m)
-        residual, coords = self._reducer.reduce(sp)
+        residual, coords = self._reducer.reduce(_entries(m, self.ambient_dim))
         if residual:
             return None
         return tuple(coords.get(l, Fraction(0)) for l in range(self.dim))
@@ -187,7 +192,7 @@ class MatLieAlgebra:
         return f"MatLieAlgebra({self.name}, ambient={self.ambient_dim}, dim={self.dim})"
 
 
-def _unit(n: int, i: int, j: int) -> dict:
+def _unit(i: int, j: int) -> dict:
     return {(i, j): Fraction(1)}
 
 
@@ -202,9 +207,7 @@ def _default_form(kind: str, n: int) -> ExactMatrix:
 
 
 def _form_matrix(form, n: int) -> ExactMatrix:
-    m = form if isinstance(form, ExactMatrix) else ExactMatrix(
-        QQ, [[parse_rational(x) for x in row] for row in form]
-    )
+    m = form if isinstance(form, ExactMatrix) else ExactMatrix(QQ, form)
     if m.shape != (n, n):
         raise ValueError(f"form must be {n} x {n}")
     return m
@@ -228,15 +231,14 @@ def make_classical(kind: str, n: int, form=None) -> MatLieAlgebra:
         if form is not None:
             raise ValueError(f"kind {kind!r} does not take a form")
         if kind == "gl":
-            basis = [_unit(n, i, j) for i in range(n) for j in range(n)]
+            basis = [_unit(i, j) for i in range(n) for j in range(n)]
         elif kind == "diag_torus":
-            basis = [_unit(n, i, i) for i in range(n)]
+            basis = [_unit(i, i) for i in range(n)]
         else:
-            basis = [_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
+            basis = [_unit(i, j) for i in range(n) for j in range(n) if i != j]
             for i in range(n - 1):
                 basis.append({(i, i): Fraction(1), (n - 1, n - 1): Fraction(-1)})
-        mats = [_sparse_to_matrix(sp, n) for sp in basis]
-        return MatLieAlgebra(n, mats, name=f"{kind}({n})")
+        return MatLieAlgebra(n, basis, name=f"{kind}({n})")
 
     if kind in ("sp", "gsp") and n % 2 != 0 and form is None:
         raise ValueError("symplectic kinds need even ambient dimension")
@@ -263,28 +265,17 @@ def make_classical(kind: str, n: int, form=None) -> MatLieAlgebra:
             for ii in range(n):
                 rows[ii * n + b][col] += j.rows[ii][a]  # (J E_ab)_{ii, b}
     condition = ExactMatrix(QQ, rows)
-    mats = []
-    for v in kernel_basis(condition):
-        mats.append(ExactMatrix(QQ, [[v[i * n + jj] for jj in range(n)] for i in range(n)]))
-    base_kind = "so" if want_symmetric else "sp"
+    basis = [{divmod(pos, n): x for pos, x in enumerate(v) if x} for v in kernel_basis(condition)]
     if kind in ("gsp", "go"):
-        mats.append(ExactMatrix.identity(QQ, n))
-        return MatLieAlgebra(n, mats, name=f"{kind}({n})")
-    return MatLieAlgebra(n, mats, name=f"{base_kind}({n})")
+        basis.append({(i, i): Fraction(1) for i in range(n)})
+    return MatLieAlgebra(n, basis, name=f"{kind}({n})")
 
 
 def direct_sum(a: MatLieAlgebra, b: MatLieAlgebra) -> MatLieAlgebra:
     """Block-diagonal sum acting on the direct sum of the ambient spaces."""
-    n = a.ambient_dim + b.ambient_dim
-    mats = []
-    for m in a.basis:
-        sp = {(i, j): v for (i, j), v in _to_sparse(m).items()}
-        mats.append(_sparse_to_matrix(sp, n))
     off = a.ambient_dim
-    for m in b.basis:
-        sp = {(i + off, j + off): v for (i, j), v in _to_sparse(m).items()}
-        mats.append(_sparse_to_matrix(sp, n))
-    return MatLieAlgebra(n, mats, name=f"{a.name}+{b.name}")
+    shifted = [{(i + off, j + off): v for (i, j), v in sp.items()} for sp in b._sparse]
+    return MatLieAlgebra(off + b.ambient_dim, a._sparse + shifted, name=f"{a.name}+{b.name}")
 
 
 def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> dict:

@@ -147,11 +147,11 @@ def parse_entry(value, env: dict, field):
 
 class SpecDocument:
     __slots__ = ("raw", "algebra", "cocharacter", "numbers", "conjectures", "flag",
-                 "flag_base_field", "trdeg_override", "polarization", "gand_algebra")
+                 "trdeg_override", "polarization", "gand_algebra")
 
     def __init__(self, raw: dict, algebra: MatLieAlgebra, cocharacter: HodgeCocharacter,
                  numbers: HodgeNumbers, conjectures: ConjectureSet,
-                 flag: FlagPoint | None = None, flag_base_field=None,
+                 flag: FlagPoint | None = None,
                  trdeg_override: int | None = None,
                  polarization: PolarizationForm | None = None,
                  gand_algebra: MatLieAlgebra | None = None):
@@ -161,10 +161,14 @@ class SpecDocument:
         self.numbers = numbers
         self.conjectures = conjectures
         self.flag = flag
-        self.flag_base_field = flag_base_field
         self.trdeg_override = trdeg_override
         self.polarization = polarization
         self.gand_algebra = gand_algebra
+
+    @property
+    def flag_base_field(self):
+        """The number field of the flag's coordinates, or None without a flag."""
+        return self.flag.field.base if self.flag is not None else None
 
     @property
     def has_flag_data(self) -> bool:
@@ -235,26 +239,26 @@ def _build_number_field(section: dict, problems: list) -> NumberField | None:
 
 
 def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
-    """Returns (FlagPoint | None, base field | None)."""
+    """Returns the FlagPoint, or None after recording problems."""
     params = list(section["params"])
     for name in params:
         if not name.isidentifier() or keyword.iskeyword(name):
             problems.append(f"flag_point/params: {name!r} is not a usable name")
-            return None, None
+            return None
     if len(set(params)) != len(params):
         problems.append("flag_point/params: duplicate parameter names")
-        return None, None
+        return None
 
     base = QQ
     if "field" in section:
         base = _build_number_field(section["field"], problems)
         if base is None:
-            return None, None
+            return None
         if base.name in params:
             problems.append(
                 f"flag_point: parameter {base.name!r} shadows the field generator"
             )
-            return None, None
+            return None
 
     func_field = FunctionField(base, params)
     env = {name: func_field.gen(name) for name in params}
@@ -278,7 +282,7 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
             vectors.append(tuple(entries))
         steps.append((step["p"], tuple(vectors)))
     if not ok:
-        return None, base
+        return None
 
     if numbers is not None:
         declared = [(p, len(vectors)) for p, vectors in steps]
@@ -289,16 +293,16 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
                 f"flag_point/steps: step dimensions {declared} do not match the "
                 f"filtration profile {expected} of the declared Hodge numbers"
             )
-            return None, base
+            return None
         ambient = total
     else:
         ambient = max(len(v) for _p, vectors in steps for v in vectors)
 
     try:
-        return FlagPoint(func_field, ambient, tuple(steps)), base
+        return FlagPoint(func_field, ambient, tuple(steps))
     except (ValueError, TypeError) as exc:
         problems.append(f"flag_point: {exc}")
-        return None, base
+        return None
 
 
 def parse_document(raw: dict) -> SpecDocument:
@@ -344,7 +348,6 @@ def parse_document(raw: dict) -> SpecDocument:
         )
 
     flag = None
-    base = None
     if "flag_point" in raw:
         if "trdeg_override" in raw:
             problems.append(
@@ -352,7 +355,7 @@ def parse_document(raw: dict) -> SpecDocument:
                 "declare one source of transcendence data"
             )
         else:
-            flag, base = _build_flag(raw["flag_point"], numbers, problems)
+            flag = _build_flag(raw["flag_point"], numbers, problems)
 
     polarization = None
     if "polarization" in raw and numbers is not None:
@@ -394,7 +397,6 @@ def parse_document(raw: dict) -> SpecDocument:
             motivated=conj["motivated"], gpc=conj["gpc"], ggpc=conj["ggpc"],
         ),
         flag=flag,
-        flag_base_field=base,
         trdeg_override=raw.get("trdeg_override"),
         polarization=polarization,
         gand_algebra=gand,

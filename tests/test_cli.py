@@ -245,15 +245,15 @@ def test_hodge_operations():
 
 
 def test_a_sym_power_just_over_the_work_bound_exits_3():
-    # the elliptic table's work estimate is 2 * k * (k + 1)
-    k = math.isqrt(SYM_WORK_BOUND // 2)
-    while 2 * k * (k + 1) <= SYM_WORK_BOUND:
+    # the elliptic table's work estimate is 2 * sum_{n<k} (n + 1) = k * (k + 1)
+    k = math.isqrt(SYM_WORK_BOUND)
+    while k * (k + 1) <= SYM_WORK_BOUND:
         k += 1
     proc = run("hodge", "sym", str(SPECS / "elliptic-gsp2.json"), str(k))
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == (f"math error (MathDomainError): sym^{k} of a 2-dimensional "
-                           f"structure is over the work bound: dimension * k * p-sums > "
-                           f"{SYM_WORK_BOUND}\n")
+                           f"structure is over the work bound: dimension * p-sums over "
+                           f"the k rows > {SYM_WORK_BOUND}\n")
 
 
 def test_hodge_arity_errors():

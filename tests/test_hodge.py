@@ -115,22 +115,24 @@ def test_wedge_and_sym_are_polynomial_in_k():
 
 
 def test_sym_over_the_work_bound_is_refused_before_any_work():
-    # 16 one-dimensional types whose p-sums of up to 7 choices rarely
-    # collide: the bound counts C(k + 15, 15) p-sums, and 16 * 7 * C(22, 15)
-    # is over it, 16 * 6 * C(21, 15) is not.
+    # 16 one-dimensional types whose p-sums of up to 9 choices rarely
+    # collide: the bound charges row n with C(n + 15, 15) p-sums, and
+    # 16 * sum_{n<10} C(n + 15, 15) = 16 * C(25, 9) is over it,
+    # 16 * C(24, 8) is not.
     spread = (0, 1, 7, 50, 300, 2000, 13000, 90000)
     weight = 10**6
     table = HodgeNumbers(weight, {pq: 1 for p in spread
                                   for pq in ((p, weight - p), (weight - p, p))})
-    assert 16 * 6 * comb(21, 15) <= SYM_WORK_BOUND < 16 * 7 * comb(22, 15)
+    assert 16 * comb(24, 8) <= SYM_WORK_BOUND < 16 * comb(25, 9)
     start = time.monotonic()
-    for k in (7, 10**9):
+    for k in (10, 10**9):
         with pytest.raises(ValueError, match=rf"^sym\^{k} of a 16-dimensional structure is over "
-                                             rf"the work bound: dimension \* k \* p-sums > "
-                                             rf"{SYM_WORK_BOUND}$"):
+                                             rf"the work bound: dimension \* p-sums over the k "
+                                             rf"rows > {SYM_WORK_BOUND}$"):
             sym(table, k)
     elapsed = time.monotonic() - start
     assert elapsed < 0.1, f"took {elapsed:.3f}s to refuse"
+    assert sym(table, 7).total_dim() == comb(22, 7)
 
 
 def test_top_wedge_is_the_determinant_line():

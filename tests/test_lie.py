@@ -1,6 +1,7 @@
 """Classical algebra constructors and the adjoint action of diagonals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,40 @@ def test_user_basis_requires_closure_and_independence():
     assert err.value.pair == (0, 1)
     with pytest.raises(ValueError):
         MatLieAlgebra(2, [e, e])
+
+
+def test_dict_basis_input_is_checked_like_dense_input():
+    for key in ((0, 2), (2, 0), (-1, 0)):
+        with pytest.raises(ValueError, match=r"outside 2 x 2$"):
+            MatLieAlgebra(2, [{key: 1}])
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            MatLieAlgebra(2, [{(0, 1): bad}])
+        with pytest.raises(TypeError):
+            MatLieAlgebra(2, [[[0, bad], [0, 0]]])
+    with pytest.raises(ValueError, match=r"^basis matrix of shape \(1, 2\) in ambient dimension 2$"):
+        MatLieAlgebra(2, [[[0, 1]]])
+    alg = MatLieAlgebra(2, [{(0, 1): "1/2", (1, 0): 0}])
+    assert alg._sparse == [{(0, 1): Fraction(1, 2)}]
+    assert alg.contains({(0, 1): 3, (1, 1): 0})
+    assert not alg.contains({(1, 0): 1})
+
+
+@pytest.mark.parametrize("kind, n", [("gl", 3), ("sl", 3), ("so", 5), ("gsp", 4), ("go", 4)])
+def test_dense_and_dict_input_build_the_same_algebra(kind, n):
+    alg = make_classical(kind, n)
+    dense = MatLieAlgebra(n, alg.basis)
+    as_dicts = [{(i, j): v for i, row in enumerate(b.rows) for j, v in enumerate(row)}
+                for b in alg.basis]
+    sparse = MatLieAlgebra(n, as_dicts)
+    assert dense.basis == sparse.basis == alg.basis
+    coefficients = tuple(Fraction(l + 1, 3) for l in range(alg.dim))
+    probe = alg.basis[0] * coefficients[0]
+    for c, b in zip(coefficients[1:], alg.basis[1:]):
+        probe = probe + b * c
+    assert dense.coordinates(probe) == sparse.coordinates(probe) == coefficients
+    assert sparse.coordinates(as_dicts[-1]) == tuple(Fraction(l == alg.dim - 1)
+                                                     for l in range(alg.dim))
 
 
 def test_normalizer_violation_is_reported_with_index():
