@@ -22,8 +22,9 @@ the extended Euclidean algorithm.  Both are the univariate kernel of
 `irreducible` over its RATIONAL ring, the same routines that test the
 minimal polynomial for irreducibility.  Arithmetic is exact; only sign
 determination under the designated embedding touches intervals, and it
-refines the enclosure of theta on demand within an explicit budget
-(PrecisionExhausted beyond).
+refines the enclosure of theta on demand within the one budget it shares
+with certification, intervals.REFINEMENT_BITS (PrecisionExhausted beyond),
+a cap on endpoint bits, not steps, as each exact Newton step quintuples them.
 
 A field may carry a conjugation automorphism sigma, given by the image of
 theta.  Construction checks both that sigma(theta) is a root of the
@@ -52,11 +53,9 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted
 
-_SIGN_BUDGET = 96
-
 _HELPERS = {
     "intervals": ("Interval", "Rectangle", "certify_isolating", "eval_poly_rect",
-                  "newton_step"),
+                  "newton_step", "within_budget"),
     "irreducible": ("RATIONAL", "is_irreducible_over_q", "poly_derivative",
                     "poly_divmod", "poly_mul", "poly_xgcd", "strip"),
 }
@@ -80,6 +79,7 @@ def parse_rational(value) -> Fraction:
     """Fraction from an int, Fraction, or a string like '-3/2'.
 
     A Fraction is returned itself: it is immutable, so sharing it is safe.
+    A zero denominator is a ValueError naming the value.
     """
     if type(value) is Fraction:
         return value
@@ -88,8 +88,21 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot read a rational from {value!r}")
+
+
+def parse_integer(value) -> int:
+    """int from an exact value with denominator 1; no float or bool."""
+    if type(value) is int:
+        return value
+    number = parse_rational(value)
+    if number.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return number.numerator
 
 
 class RationalField:
@@ -341,12 +354,15 @@ class NumberField:
 
     def _refine_until(self, x: NumberFieldElement, decide):
         """The first decide(enclosure of x) that is not None, refining the
-        enclosure of theta between tries; None once the budget is spent."""
-        for _ in range(_SIGN_BUDGET):
+        enclosure of theta between tries; None once the rectangle leaves
+        the refinement budget or stops shrinking."""
+        previous = None
+        while self._rect != previous and within_budget(self.minpoly, self._rect):
             verdict = decide(self.enclosure(x))
             if verdict is not None:
                 return verdict
-            self._rect, _ = newton_step(self.minpoly, self._deriv, self._rect)
+            previous = self._rect
+            self._rect, _ = newton_step(self.minpoly, self._deriv, previous)
         return None
 
     def enclosure(self, x: NumberFieldElement) -> Rectangle:
@@ -380,7 +396,7 @@ class NumberField:
         if decided is not None:
             return decided
         raise PrecisionExhausted(
-            f"sign of {component}({x!r}) undecided after {_SIGN_BUDGET} refinements"
+            f"sign of {component}({x!r}) undecided within the refinement budget"
         )
 
     def sign_real(self, x: NumberFieldElement) -> int:

@@ -43,6 +43,7 @@ import random
 from fractions import Fraction
 
 from .errors import DenominatorVanishes
+from .fields import parse_integer
 # inverse is unused here; perfbench/spans.py patches flags.inverse
 from .linalg import ExactMatrix, fraction_free_rref, inverse, rank
 from .ratfunc import FunctionField, RatFunc
@@ -64,7 +65,7 @@ class FlagPoint:
         previous_p = None
         previous_size = 0
         for p, vectors in steps:
-            p = int(p)
+            p = parse_integer(p)
             vectors = tuple(tuple(field.coerce(x) for x in v) for v in vectors)
             if any(len(v) != d for v in vectors):
                 raise ValueError(f"step p={p}: vectors must have length {d}")

@@ -30,6 +30,7 @@ weight k: one small rank per weight that occurs.
 from __future__ import annotations
 
 from .errors import IncompleteGrading
+from .fields import parse_integer
 from .lie import MatLieAlgebra, adjoint_of_diagonal
 from .linalg import rank
 
@@ -45,7 +46,7 @@ class HodgeCocharacter:
     __slots__ = ("weights", "declared_numbers")
 
     def __init__(self, weights: tuple, declared_numbers: HodgeNumbers | None = None):
-        self.weights = weights = tuple(int(w) for w in weights)
+        self.weights = weights = tuple(parse_integer(w) for w in weights)
         self.declared_numbers = declared_numbers
         if declared_numbers is not None:
             expected = sorted(declared_numbers.p_multiset())
@@ -69,7 +70,8 @@ class CocharGrading:
     __slots__ = ("algebra_dim", "levels")
 
     def __init__(self, algebra_dim: int, levels: dict | None = None):
-        levels = {int(k): int(d) for k, d in (levels or {}).items() if int(d) != 0}
+        levels = {parse_integer(k): parse_integer(d) for k, d in (levels or {}).items()}
+        levels = {k: d for k, d in levels.items() if d != 0}
         if any(d < 0 for d in levels.values()):
             raise ValueError("negative level dimension")
         self.algebra_dim = algebra_dim

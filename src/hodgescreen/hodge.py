@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotAHodgeFiltration
-from .fields import QQ, parse_rational
+from .fields import QQ, parse_integer
 from .linalg import ExactMatrix, intersection_basis, rank
 
 
@@ -47,10 +47,10 @@ class HodgeNumbers:
     __slots__ = ("weight", "dims")
 
     def __init__(self, weight: int, dims):
-        self.weight = int(weight)
+        self.weight = parse_integer(weight)
         table = {}
         for (p, q), h in dict(dims).items():
-            p, q, h = int(p), int(q), int(h)
+            p, q, h = parse_integer(p), parse_integer(q), parse_integer(h)
             if h < 0:
                 raise ValueError(f"negative Hodge number at ({p}, {q})")
             if h == 0:
@@ -294,11 +294,8 @@ class PolarizationForm:
     __slots__ = ("weight", "matrix")
 
     def __init__(self, weight: int, matrix: ExactMatrix):
-        m = matrix
-        if not isinstance(m, ExactMatrix):
-            m = ExactMatrix(QQ, [[parse_rational(x) for x in row] for row in m])
         self.weight = weight
-        self.matrix = m
+        self.matrix = m = matrix if isinstance(matrix, ExactMatrix) else ExactMatrix(QQ, matrix)
         if m.nrows != m.ncols:
             raise ValueError("polarization form must be square")
         sign = -1 if weight % 2 else 1

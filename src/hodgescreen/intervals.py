@@ -14,6 +14,12 @@ certifies a user-supplied rectangle at field construction time, and the
 same iteration later shrinks the rectangle whenever a sign decision needs
 more precision.  p' is the Q[x] derivative of `irreducible`'s univariate
 kernel, this module's one import from the package.
+
+Certification here and the sign decisions of `fields` share one budget,
+REFINEMENT_BITS, on the degree times the endpoint bit length, about what
+a step costs, and not on the step count: exact Newton makes endpoints
+about five times longer per step, so from a rectangle with the root on
+its edge, which never certifies, the eighth step alone took 50 s.
 """
 
 from __future__ import annotations
@@ -22,16 +28,22 @@ from fractions import Fraction
 
 from .irreducible import RATIONAL, poly_derivative
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+# Tests and golden CLI runs: certification took one step, sign decisions
+# at most four, to 11,206 (5,603 bits, degree 2); one more fits.  The last
+# step in budget took 0.5 s at degree 2, 0.6 s at 16 (2 cores, Python 3.11.7).
+REFINEMENT_BITS = 65_536
 
 
 class Interval:
-    """Closed interval [lo, hi] with rational endpoints."""
+    """Closed interval [lo, hi] with exact endpoints: int or Fraction."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
+        if type(lo) not in (int, Fraction) or type(hi) not in (int, Fraction):
+            raise TypeError(f"interval endpoints must be int or Fraction: {lo!r}, {hi!r}")
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
@@ -39,11 +51,6 @@ class Interval:
 
     def __eq__(self, other):
         return isinstance(other, Interval) and (self.lo, self.hi) == (other.lo, other.hi)
-
-    @staticmethod
-    def point(x) -> "Interval":
-        x = Fraction(x)
-        return Interval(x, x)
 
     def __add__(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -68,7 +75,7 @@ class Interval:
             return Interval(self.lo * self.lo, self.hi * self.hi)
         if self.hi <= 0:
             return Interval(self.hi * self.hi, self.lo * self.lo)
-        return Interval(_ZERO, max(self.lo * self.lo, self.hi * self.hi))
+        return Interval(0, max(self.lo * self.lo, self.hi * self.hi))
 
     def divide(self, other) -> "Interval":
         """self / other, defined only when 0 is outside other."""
@@ -112,7 +119,7 @@ class Rectangle:
 
     @staticmethod
     def point(re, im=0) -> "Rectangle":
-        return Rectangle(Interval.point(re), Interval.point(im))
+        return Rectangle(Interval(re, re), Interval(im, im))
 
     def __add__(self, other):
         return Rectangle(self.re + other.re, self.im + other.im)
@@ -186,17 +193,27 @@ def newton_step(coeffs, deriv, rect: Rectangle):
     return refined, certified
 
 
-def certify_isolating(coeffs, rect: Rectangle, rounds: int = 64) -> Rectangle:
+def within_budget(coeffs, rect: Rectangle) -> bool:
+    """Whether Newton may step from rect: the degree times its longest
+    endpoint, numerator plus denominator bits, within REFINEMENT_BITS."""
+    longest = max(x.numerator.bit_length() + x.denominator.bit_length()
+                  for x in (rect.re.lo, rect.re.hi, rect.im.lo, rect.im.hi))
+    return (len(coeffs) - 1) * longest <= REFINEMENT_BITS
+
+
+def certify_isolating(coeffs, rect: Rectangle) -> Rectangle:
     """Verify that rect isolates exactly one root of the polynomial.
 
     Iterates interval Newton until one step maps the rectangle strictly
     into itself, which proves the rectangle contains a unique simple root.
-    Returns the refined rectangle.  Raises ValueError when the rectangle
-    provably contains no root or is too coarse to certify within budget.
+    The first step runs on rect as given, a later one only while the
+    rectangle shrinks within budget.  Returns the refined rectangle.  Raises
+    ValueError when the rectangle provably contains no root or is too
+    coarse to certify within budget.
     """
     deriv = poly_derivative(coeffs, RATIONAL)
     current = rect
-    for _ in range(rounds):
+    while True:
         try:
             refined, certified = newton_step(coeffs, deriv, current)
         except ZeroDivisionError:
@@ -206,8 +223,8 @@ def certify_isolating(coeffs, rect: Rectangle, rounds: int = 64) -> Rectangle:
             ) from None
         if certified:
             return refined
-        if refined == current:
-            break
+        if refined == current or not within_budget(coeffs, refined):
+            raise ValueError(
+                "cannot certify the isolating rectangle within the refinement budget")
         current = refined
-    raise ValueError("cannot certify the isolating rectangle within the refinement budget")
 

@@ -50,14 +50,12 @@ def _entries(element, n: int) -> dict:
         for i, j in element:
             if i not in range(n) or j not in range(n):
                 raise ValueError(f"basis entry at {(i, j)} outside {n} x {n}")
-        items = element.items()
-    else:
-        m = element if isinstance(element, ExactMatrix) else ExactMatrix(QQ, element)
-        if m.shape != (n, n):
-            raise ValueError(f"basis matrix of shape {m.shape} in ambient dimension {n}")
-        items = (((i, j), v) for i, row in enumerate(m.rows) for j, v in enumerate(row))
-    entries = ((key, parse_rational(v)) for key, v in items)
-    return {key: v for key, v in entries if v}
+        entries = ((key, parse_rational(v)) for key, v in element.items())
+        return {key: v for key, v in entries if v}
+    m = element if isinstance(element, ExactMatrix) else ExactMatrix(QQ, element)
+    if m.shape != (n, n):
+        raise ValueError(f"basis matrix of shape {m.shape} in ambient dimension {n}")
+    return {(i, j): v for i, row in enumerate(m.rows) for j, v in enumerate(row) if v}
 
 
 def _sparse_to_matrix(sp: dict, n: int) -> ExactMatrix:
@@ -136,10 +134,10 @@ class _SpanReducer:
 class MatLieAlgebra:
     """A Lie algebra given by an explicit matrix basis over Q.
 
-    A basis element is an n x n ExactMatrix, its rows, or a {(i, j): value}
-    dict with every key inside n x n.  Every entry goes through
-    parse_rational, zeros are dropped, and only this sparse form is kept:
-    `basis` builds a tuple of dense ExactMatrix objects on each access.
+    A basis element is an n x n ExactMatrix over QQ, its rows, or a
+    {(i, j): value} dict with every key inside n x n.  Every entry goes
+    once through parse_rational, zeros are dropped, and only this sparse
+    form is kept: `basis` builds dense ExactMatrix objects on each access.
     """
 
     def __init__(self, ambient_dim: int, basis, name: str = "user"):
@@ -161,11 +159,11 @@ class MatLieAlgebra:
         return len(self._sparse)
 
     def _verify_closure(self):
+        by_row = [_rows_of(sp) for sp in self._sparse]
         for i in range(self.dim):
-            rows_i = _rows_of(self._sparse[i])
             for j in range(i + 1, self.dim):
-                ab = _sparse_mul(self._sparse[j], rows_i)  # b_j b_i
-                ba = _sparse_mul(self._sparse[i], _rows_of(self._sparse[j]))  # b_i b_j
+                ab = _sparse_mul(self._sparse[j], by_row[i])  # b_j b_i
+                ba = _sparse_mul(self._sparse[i], by_row[j])  # b_i b_j
                 for key, v in ab.items():
                     s = ba.get(key, 0) - v
                     if s == 0:

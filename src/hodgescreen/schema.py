@@ -23,6 +23,12 @@ table, flag step dimensions vs the filtration profile).  All collected
 problems surface in one SpecValidationError.  Mathematical failures that
 only a computation can detect (a basis not closed under bracket) stay
 MathDomainError and are not converted.
+
+The reader routes and the constructors check: each section goes as
+written to the constructor that owns its checks, and _built files that
+constructor's ValueError or TypeError under the section's label.  Besides
+flag entries (parse_entry), only the embedding endpoints are read here, as
+Interval is a plain container.
 """
 
 from __future__ import annotations
@@ -179,6 +185,15 @@ def _schema_problems(raw) -> list:
     return shape_problems(raw, SPEC_SCHEMA)
 
 
+def _built(label: str, problems: list, build, *args, **kwargs):
+    """build(*args, **kwargs), or None after filing its ValueError or TypeError under label."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        problems.append(f"{label}: {exc}")
+        return None
+
+
 def _build_algebra(section: dict, label: str, problems: list) -> MatLieAlgebra | None:
     kind = section["kind"]
     n = section["n"]
@@ -189,53 +204,27 @@ def _build_algebra(section: dict, label: str, problems: list) -> MatLieAlgebra |
         if "form" in section:
             problems.append(f"{label}: 'form' has no meaning for a custom basis")
             return None
-        basis = []
-        try:
-            for matrix in section["basis"]:
-                rows = [[parse_rational(x) for x in row] for row in matrix]
-                if len(rows) != n or any(len(r) != n for r in rows):
-                    raise ValueError(f"basis matrices must be {n} x {n}")
-                basis.append(rows)
-            return MatLieAlgebra(n, basis, name="custom")
-        except (ValueError, TypeError) as exc:
-            problems.append(f"{label}: {exc}")
-            return None
+        return _built(label, problems, MatLieAlgebra, n, section["basis"], name="custom")
     if "basis" in section:
         problems.append(f"{label}: 'basis' is only for kind 'custom'")
         return None
-    form = None
-    if "form" in section:
-        try:
-            form = [[parse_rational(x) for x in row] for row in section["form"]]
-        except (ValueError, TypeError) as exc:
-            problems.append(f"{label}/form: {exc}")
-            return None
-    try:
-        return make_classical(kind, n, form=form)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"{label}: {exc}")
-        return None
+    return _built(label, problems, make_classical, kind, n, form=section.get("form"))
 
 
-def _build_number_field(section: dict, problems: list) -> NumberField | None:
+def _number_field(section: dict) -> NumberField:
     from .intervals import Interval, Rectangle
 
-    try:
-        minpoly = [parse_rational(c) for c in section["minpoly"]]
-        (re_lo, re_hi), (im_lo, im_hi) = section["embedding"]
-        rect = Rectangle(
-            Interval(parse_rational(re_lo), parse_rational(re_hi)),
-            Interval(parse_rational(im_lo), parse_rational(im_hi)),
-        )
-        conjugate = section.get("conjugate_image")
-        if conjugate is not None:
-            conjugate = [parse_rational(c) for c in conjugate]
-        return NumberField(
-            minpoly, rect, name=section["name"], conjugate_image=conjugate,
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"flag_point/field: {exc}")
-        return None
+    re, im = (Interval(parse_rational(lo), parse_rational(hi))
+              for lo, hi in section["embedding"])
+    return NumberField(section["minpoly"], Rectangle(re, im), name=section["name"],
+                       conjugate_image=section.get("conjugate_image"))
+
+
+def _hodge_numbers(section: dict) -> HodgeNumbers:
+    dims = {(p, q): h for p, q, h in section["dims"]}
+    if len(dims) != len(section["dims"]):
+        raise ValueError("duplicate (p, q) rows in dims")
+    return HodgeNumbers(section["weight"], dims)
 
 
 def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
@@ -251,7 +240,7 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
 
     base = QQ
     if "field" in section:
-        base = _build_number_field(section["field"], problems)
+        base = _built("flag_point/field", problems, _number_field, section["field"])
         if base is None:
             return None
         if base.name in params:
@@ -265,23 +254,16 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
     if base is not QQ:
         env[base.name] = func_field.coerce(base.gen())
 
+    known = len(problems)
     steps = []
-    ok = True
     for idx, step in enumerate(section["steps"]):
-        vectors = []
-        for jdx, vector in enumerate(step["basis"]):
-            entries = []
-            for kdx, raw_entry in enumerate(vector):
-                try:
-                    entries.append(parse_entry(raw_entry, env, func_field))
-                except ValueError as exc:
-                    problems.append(
-                        f"flag_point/steps/{idx}/basis/{jdx}/{kdx}: {exc}"
-                    )
-                    ok = False
-            vectors.append(tuple(entries))
-        steps.append((step["p"], tuple(vectors)))
-    if not ok:
+        vectors = tuple(
+            tuple(_built(f"flag_point/steps/{idx}/basis/{jdx}/{kdx}", problems,
+                         parse_entry, entry, env, func_field)
+                  for kdx, entry in enumerate(vector))
+            for jdx, vector in enumerate(step["basis"]))
+        steps.append((step["p"], vectors))
+    if len(problems) > known:
         return None
 
     if numbers is not None:
@@ -298,11 +280,7 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
     else:
         ambient = max(len(v) for _p, vectors in steps for v in vectors)
 
-    try:
-        return FlagPoint(func_field, ambient, tuple(steps))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"flag_point: {exc}")
-        return None
+    return _built("flag_point", problems, FlagPoint, func_field, ambient, tuple(steps))
 
 
 def parse_document(raw: dict) -> SpecDocument:
@@ -312,14 +290,7 @@ def parse_document(raw: dict) -> SpecDocument:
 
     algebra = _build_algebra(raw["group"], "group", problems)
 
-    numbers = None
-    try:
-        dims = {(p, q): h for p, q, h in raw["hodge_numbers"]["dims"]}
-        if len(dims) != len(raw["hodge_numbers"]["dims"]):
-            raise ValueError("duplicate (p, q) rows in dims")
-        numbers = HodgeNumbers(raw["hodge_numbers"]["weight"], dims)
-    except ValueError as exc:
-        problems.append(f"hodge_numbers: {exc}")
+    numbers = _built("hodge_numbers", problems, _hodge_numbers, raw["hodge_numbers"])
 
     cochar = None
     weights = tuple(raw["cocharacter"]["lambda"])
@@ -335,10 +306,8 @@ def parse_document(raw: dict) -> SpecDocument:
                 f"numbers sum to {numbers.total_dim()}"
             )
         else:
-            try:
-                cochar = HodgeCocharacter(weights, declared_numbers=numbers)
-            except ValueError as exc:
-                problems.append(f"cocharacter: {exc}")
+            cochar = _built("cocharacter", problems, HodgeCocharacter, weights,
+                            declared_numbers=numbers)
 
     if (algebra is not None and numbers is not None
             and algebra.ambient_dim != numbers.total_dim()):
@@ -360,15 +329,14 @@ def parse_document(raw: dict) -> SpecDocument:
     polarization = None
     if "polarization" in raw and numbers is not None:
         matrix = raw["polarization"]["matrix"]
-        try:
-            if len(matrix) != numbers.total_dim():
-                raise ValueError(
-                    f"matrix is {len(matrix)} x {len(matrix[0])} but the "
-                    f"structure has dimension {numbers.total_dim()}"
-                )
-            polarization = PolarizationForm(numbers.weight, matrix)
-        except (ValueError, TypeError) as exc:
-            problems.append(f"polarization: {exc}")
+        if len(matrix) != numbers.total_dim():
+            problems.append(
+                f"polarization: matrix is {len(matrix)} x {len(matrix[0])} but "
+                f"the structure has dimension {numbers.total_dim()}"
+            )
+        else:
+            polarization = _built("polarization", problems, PolarizationForm,
+                                  numbers.weight, matrix)
 
     gand = None
     if "gand_group" in raw:
@@ -379,7 +347,7 @@ def parse_document(raw: dict) -> SpecDocument:
                     f"gand_group: acts on dimension {gand.ambient_dim}, "
                     f"the group on {algebra.ambient_dim}"
                 )
-            elif not all(gand.contains(b) for b in algebra.basis):
+            elif not all(gand.contains(sp) for sp in algebra._sparse):
                 problems.append(
                     "gand_group: does not contain the declared group algebra"
                 )

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hodgescreen import ExactMatrix, NumberField, PrecisionExhausted, QQ, gaussian_field
-from hodgescreen import fields
+from hodgescreen import fields, intervals
 from hodgescreen.fields import parse_rational
 from hodgescreen.intervals import (
     Interval,
@@ -98,6 +98,13 @@ def test_interval_multiplication_tracks_sign_corners():
     assert not Interval(Fraction(1), Fraction(2)).contains_zero()
 
 
+def test_interval_endpoints_are_exact():
+    assert Interval(0, Fraction(1, 2)).hi == Fraction(1, 2)
+    for lo, hi in ((0.0, 1), (0, 0.5), (False, True)):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            Interval(lo, hi)
+
+
 def test_rectangle_complex_product_matches_hand_value():
     # (1+i)^2 = 2i at zero width
     z = Rectangle(Interval(Fraction(1), Fraction(1)), Interval(Fraction(1), Fraction(1)))
@@ -138,13 +145,22 @@ def test_number_field_constructor_contracts():
 def test_an_exhausted_refinement_budget_raises_precision_exhausted(monkeypatch):
     qi = gaussian_field()
     i = qi.gen()
-    monkeypatch.setattr(fields, "_SIGN_BUDGET", 0)
+    monkeypatch.setattr(intervals, "REFINEMENT_BITS", 0)
     with pytest.raises(PrecisionExhausted,
-                       match=r"^sign of re\(1 \+ i\) undecided after 0 refinements$"):
+                       match=r"^sign of re\(1 \+ i\) undecided within the refinement budget$"):
         qi.sign_real(i + 1)
     with pytest.raises(PrecisionExhausted, match="^could not verify the conjugation "
                                                  "automorphism within the refinement budget$"):
         gaussian_field()
+
+
+def test_refinement_stops_once_the_rectangle_stops_shrinking():
+    # Q(i) without a conjugation: theta = i is a rational point, so Newton
+    # lands on it and Re(theta) = 0 has no sign to find
+    K = NumberField((1, 0, 1), Rectangle(Interval(Fraction(-1, 2), Fraction(1, 2)),
+                                         Interval(Fraction(1, 2), Fraction(3, 2))), name="i")
+    with pytest.raises(PrecisionExhausted, match="within the refinement budget$"):
+        K.sign_real(K.gen())
 
 
 def test_gaussian_arithmetic_and_inverse():

@@ -85,6 +85,15 @@ def test_flag_point_shape_contracts():
         )
 
 
+def test_step_positions_are_read_as_integers_not_truncated():
+    f = field_over_q("t1")
+    line = ((f.one(), f.gen("t1")),)
+    assert FlagPoint(f, 2, steps=(("1", line),)).steps[0][0] == 1
+    for position, error in ((1.5, TypeError), (True, TypeError), ("3/2", ValueError)):
+        with pytest.raises(error):
+            FlagPoint(f, 2, steps=((position, line),))
+
+
 def test_a_dependent_basis_with_denominators_is_rejected():
     # both rows carry non-unit denominators, so both are scaled before the
     # fraction-free elimination; the second row is the first times a

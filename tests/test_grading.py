@@ -125,6 +125,20 @@ def test_direct_grading_constructor_contracts():
         CocharGrading(1, {0: -1})
 
 
+def test_weights_and_levels_are_read_as_integers_not_truncated():
+    assert HodgeCocharacter(("1", 0)).weights == (1, 0)
+    with pytest.raises(TypeError):
+        HodgeCocharacter((0.5, 0))
+    with pytest.raises(TypeError):
+        HodgeCocharacter((True, False))
+    with pytest.raises(ValueError, match="is not an integer"):
+        HodgeCocharacter(("1/2", 0))
+    with pytest.raises(TypeError):
+        CocharGrading(1, {0.5: 1})
+    with pytest.raises(TypeError):
+        CocharGrading(1, {0: True})
+
+
 def test_shimura_boundary_is_exactly_levels_within_one():
     assert is_shimura_type(CocharGrading(3, {-1: 1, 0: 1, 1: 1}))
     assert not is_shimura_type(CocharGrading(3, {-2: 1, 0: 1, 2: 1}))

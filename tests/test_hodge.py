@@ -46,6 +46,17 @@ def test_table_validation():
     assert HodgeNumbers(1, {(1, 0): 1, (0, 1): 1, (2, -1): 0}).total_dim() == 2
 
 
+def test_table_entries_are_read_as_integers_not_truncated():
+    assert HodgeNumbers("1", {(1, 0): "2/2", (0, 1): 1}) == ELLIPTIC
+    with pytest.raises(ValueError, match="is not an integer"):
+        HodgeNumbers(1, {(Fraction(3, 2), Fraction(-1, 2)): 1,
+                         (Fraction(-1, 2), Fraction(3, 2)): 1})
+    with pytest.raises(TypeError):
+        HodgeNumbers(1, {(1.5, -0.5): 1, (-0.5, 1.5): 1})
+    with pytest.raises(TypeError):
+        HodgeNumbers(1, {(1, 0): True, (0, 1): True})
+
+
 def test_elliptic_curve_operations():
     assert wedge(ELLIPTIC, 2) == HodgeNumbers(2, {(1, 1): 1})
     assert sym(ELLIPTIC, 2) == HodgeNumbers(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
