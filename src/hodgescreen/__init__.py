@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "fields": ("NumberField", "QQ", "gaussian_field"),
     "flags": (
-        "FlagPoint", "TrdegResult", "is_maximal_transcendence",
-        "jacobian_matrix", "normalize_chart", "trdeg",
+        "FlagPoint", "TrdegResult", "jacobian_matrix", "normalize_chart",
+        "trdeg",
     ),
     "grading": (
         "CocharGrading", "HodgeCocharacter", "InvariantReport",
@@ -37,8 +37,7 @@ _EXPORTS = {
     "hodge": (
         "HodgeNumbers", "PolarizationForm", "PolarizationResult",
         "RealizedHodgeStructure", "dual", "filtration_dims",
-        "polarization_check", "realize_and_validate", "sym", "tate_twist",
-        "tensor", "wedge",
+        "polarization_check", "sym", "tate_twist", "tensor", "wedge",
     ),
     "lie": (
         "CLASSICAL_KINDS", "MatLieAlgebra", "adjoint_of_diagonal",

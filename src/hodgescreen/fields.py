@@ -79,7 +79,10 @@ def parse_rational(value) -> Fraction:
     """Fraction from an int, Fraction, or a string like '-3/2'.
 
     A Fraction is returned itself: it is immutable, so sharing it is safe.
-    A zero denominator is a ValueError naming the value.
+    A string, once stripped, is an optional sign, ASCII digits and at most
+    one '/digits': no exponent, decimal point or underscore, so its size
+    is its length.  Anything else, and a zero denominator, is a ValueError
+    naming the value.
     """
     if type(value) is Fraction:
         return value
@@ -88,10 +91,14 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        num, slash, den = value.strip().partition("/")
+        digits = num[1:] if num.startswith(("+", "-")) else num
+        if not (digits.isascii() and digits.isdigit()
+                and (not slash or den.isascii() and den.isdigit())):
+            raise ValueError(f"{value!r} is not a rational 'a/b' of integers")
+        if slash and int(den) == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(num), int(den) if slash else 1)
     raise TypeError(f"cannot read a rational from {value!r}")
 
 

@@ -262,10 +262,3 @@ def trdeg(flag: FlagPoint, seed: int | None = None) -> TrdegResult:
         certificate=certificate,
     )
 
-
-def is_maximal_transcendence(result: TrdegResult, grading) -> bool:
-    """True when the filtration field is as transcendental as the flag
-    variety allows."""
-    from .grading import flag_dimension
-
-    return result.value == flag_dimension(grading)

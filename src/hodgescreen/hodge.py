@@ -9,7 +9,12 @@ is the dimension times the p-sums of each of the k rows; sym refuses a
 power whose cost would pass SYM_WORK_BOUND, one to two seconds of work.
 
 A RealizedHodgeStructure carries an actual filtration: bases over Q or
-over a conjugation-stable number field Q(theta).  Validation computes
+over a conjugation-stable number field Q(theta).  It is checked at
+construction: check_profile matches the step sizes against the Hodge
+numbers, the same check the spec reader runs, and building a
+parameter-free flags.FlagPoint over Q(theta) checks the vector lengths,
+the independence of each step and the nesting.  The constructor then
+computes
 
     H^{p,q} = F^p  intersect  conj(F^{n-p})
 
@@ -38,7 +43,9 @@ from fractions import Fraction
 
 from .errors import NotAHodgeFiltration
 from .fields import QQ, parse_integer
+from .flags import FlagPoint
 from .linalg import ExactMatrix, intersection_basis, rank
+from .ratfunc import FunctionField
 
 
 class HodgeNumbers:
@@ -184,25 +191,77 @@ def filtration_dims(numbers: HodgeNumbers):
     return out
 
 
+def check_profile(numbers: HodgeNumbers, steps) -> int:
+    """The total dimension, once the steps (p, basis vectors) list F^p for
+    every jump p with dim F^p below it, in order and with those sizes;
+    otherwise a ValueError."""
+    total = numbers.total_dim()
+    declared = [(p, len(vectors)) for p, vectors in steps]
+    expected = [(p, c) for p, c in filtration_dims(numbers) if c < total]
+    if declared != expected:
+        raise ValueError(
+            f"step dimensions {declared} do not match the "
+            f"filtration profile {expected} of the declared Hodge numbers"
+        )
+    return total
+
+
 # -- realized structures -----------------------------------------------------
 
 
 class RealizedHodgeStructure:
-    """A filtration with actual coordinates over Q or Q(theta).
+    """A filtration with actual coordinates over Q or Q(theta), checked at
+    construction.
 
     steps lists (p, basis vectors of F^p) for every jump p with
     dim F^p < dim; the lowest jump, where F^p is everything, is implied.
-    decomposition is filled in by realize_and_validate.
+    decomposition maps each type (p, q) to a basis of H^{p,q}.  Raises
+    NotAHodgeFiltration unless the field has a conjugation, the steps
+    have the filtration profile and form a flag (flags.FlagPoint), and
+    every piece has dimension h^{p,q} with the pieces together spanning.
     """
 
     __slots__ = ("field", "numbers", "steps", "decomposition")
 
-    def __init__(self, field, numbers: HodgeNumbers, steps: tuple,
-                 decomposition: dict | None = None):
+    def __init__(self, field, numbers: HodgeNumbers, steps: tuple):
+        if not field.has_conjugation:
+            raise NotAHodgeFiltration(
+                "the coefficient field carries no conjugation automorphism"
+            )
+        steps = tuple(sorted(steps, key=lambda step: step[0], reverse=True))
+        try:
+            d = check_profile(numbers, steps)
+            FlagPoint(FunctionField(field, ()), d, steps)
+        except ValueError as exc:
+            raise NotAHodgeFiltration(str(exc)) from None
         self.field = field
         self.numbers = numbers
         self.steps = steps
-        self.decomposition = decomposition
+        matrices = {
+            p: ExactMatrix.from_columns(field, [tuple(field.coerce(x) for x in v) for v in vectors])
+            for p, vectors in steps
+        }
+        # Every p and q of a type is a jump, since h(p,q) = h(q,p); the one
+        # jump not in matrices is the lowest, where F^p is the whole space.
+        whole = ExactMatrix.identity(field, d)
+        self.decomposition = {}
+        for (p, q), h in sorted(numbers.dims.items(), reverse=True):
+            fp = matrices.get(p, whole)
+            fq_bar = matrices.get(q, whole).map_entries(field.conj)
+            if fp.ncols == d:
+                piece = fq_bar.columns()
+            elif fq_bar.ncols == d:
+                piece = fp.columns()
+            else:
+                piece = intersection_basis(fp, fq_bar)
+            if len(piece) != h:
+                raise NotAHodgeFiltration(
+                    f"piece H^{p},{q} has dimension {len(piece)}, declared {h}"
+                )
+            self.decomposition[(p, q)] = tuple(piece)
+        spanning = [v for piece in self.decomposition.values() for v in piece]
+        if rank(ExactMatrix(field, spanning)) != d:
+            raise NotAHodgeFiltration("the Hodge pieces do not span")
 
     @property
     def dim(self) -> int:
@@ -211,78 +270,6 @@ class RealizedHodgeStructure:
     @property
     def weight(self) -> int:
         return self.numbers.weight
-
-
-def realize_and_validate(structure: RealizedHodgeStructure) -> RealizedHodgeStructure:
-    """Check the filtration realizes the declared Hodge numbers.
-
-    Verifies step shapes and nesting, computes every piece
-    H^{p,q} = F^p intersect conj(F^{n-p}), and accepts only when each
-    piece has dimension h^{p,q} and the pieces together span.  Returns
-    the structure annotated with the computed decomposition.
-    """
-    field = structure.field
-    if not field.has_conjugation:
-        raise NotAHodgeFiltration(
-            "the coefficient field carries no conjugation automorphism"
-        )
-    d = structure.dim
-    fdims = filtration_dims(structure.numbers)
-    required = [(p, dim) for p, dim in fdims if dim < d]
-    listed = {p: vectors for p, vectors in structure.steps}
-    if sorted(listed) != sorted(p for p, _ in required):
-        raise NotAHodgeFiltration(
-            f"steps listed for p in {sorted(listed)}, expected jumps at "
-            f"{sorted(p for p, _ in required)}"
-        )
-    matrices = {}
-    for p, dim in required:
-        vectors = listed[p]
-        if any(len(v) != d for v in vectors):
-            raise NotAHodgeFiltration(f"step p={p} has vectors of the wrong length")
-        m = ExactMatrix.from_columns(field, [tuple(field.coerce(x) for x in v) for v in vectors], nrows=d)
-        if m.ncols != dim:
-            raise NotAHodgeFiltration(
-                f"step p={p} has {m.ncols} vectors, the Hodge numbers require {dim}"
-            )
-        if rank(m) != dim:
-            raise NotAHodgeFiltration(f"step p={p} basis is not linearly independent")
-        matrices[p] = m
-    # nesting: each step inside the next bigger one
-    ordered = sorted(matrices, reverse=True)
-    for upper, lower in zip(ordered, ordered[1:]):
-        stacked = matrices[lower].hstack(matrices[upper])
-        if rank(stacked) != matrices[lower].ncols:
-            raise NotAHodgeFiltration(f"F^{upper} is not contained in F^{lower}")
-
-    # Every p and q of a type is a jump, since h(p,q) = h(q,p); the one
-    # jump not in matrices is the lowest, where F^p is the whole space.
-    whole = ExactMatrix.identity(field, d)
-    decomposition = {}
-    all_vectors = []
-    for (p, q), h in sorted(structure.numbers.dims.items(), reverse=True):
-        fp = matrices.get(p, whole)
-        fq_bar = matrices.get(q, whole).map_entries(field.conj)
-        if fp.ncols == d:
-            piece = fq_bar.columns()
-        elif fq_bar.ncols == d:
-            piece = fp.columns()
-        else:
-            piece = intersection_basis(fp, fq_bar)
-        if len(piece) != h:
-            raise NotAHodgeFiltration(
-                f"piece H^{p},{q} has dimension {len(piece)}, declared {h}"
-            )
-        decomposition[(p, q)] = tuple(piece)
-        all_vectors.extend(piece)
-    if rank(ExactMatrix(field, all_vectors)) != d:
-        raise NotAHodgeFiltration("the Hodge pieces do not span")
-    return RealizedHodgeStructure(
-        field=field,
-        numbers=structure.numbers,
-        steps=structure.steps,
-        decomposition=decomposition,
-    )
 
 
 # -- polarization --------------------------------------------------------------
@@ -356,8 +343,6 @@ def _hermitian_witness(field, delta, parity, sign):
 
 def polarization_check(structure: RealizedHodgeStructure, form: PolarizationForm) -> PolarizationResult:
     """Decide whether the rational form polarizes the realized structure."""
-    if structure.decomposition is None:
-        structure = realize_and_validate(structure)
     if form.matrix.nrows != structure.dim:
         raise ValueError("form size does not match the structure dimension")
     if form.weight != structure.weight:

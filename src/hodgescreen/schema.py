@@ -43,7 +43,7 @@ from .errors import SpecValidationError
 from .fields import NumberField, QQ, parse_rational
 from .flags import FlagPoint
 from .grading import HodgeCocharacter
-from .hodge import HodgeNumbers, PolarizationForm, filtration_dims
+from .hodge import HodgeNumbers, PolarizationForm, check_profile
 from .jsonshape import integral_floats, shape_problems
 from .lie import MatLieAlgebra, make_classical
 from .ratfunc import FunctionField
@@ -267,16 +267,9 @@ def _build_flag(section: dict, numbers: HodgeNumbers | None, problems: list):
         return None
 
     if numbers is not None:
-        declared = [(p, len(vectors)) for p, vectors in steps]
-        total = numbers.total_dim()
-        expected = [(p, c) for p, c in filtration_dims(numbers) if c < total]
-        if declared != expected:
-            problems.append(
-                f"flag_point/steps: step dimensions {declared} do not match the "
-                f"filtration profile {expected} of the declared Hodge numbers"
-            )
+        ambient = _built("flag_point/steps", problems, check_profile, numbers, steps)
+        if ambient is None:
             return None
-        ambient = total
     else:
         ambient = max(len(v) for _p, vectors in steps for v in vectors)
 

@@ -89,6 +89,13 @@ def test_parse_rational_rejects_bool_and_float():
         parse_rational(0.5)
 
 
+def test_parse_rational_reads_only_integers_over_integers():
+    # Fraction alone would read each of these, "1e5" as 100000.
+    for value in ("1e5", "1.5", ".5", "1_000"):
+        with pytest.raises(ValueError, match="is not a rational"):
+            parse_rational(value)
+
+
 def test_interval_multiplication_tracks_sign_corners():
     a = Interval(Fraction(-2), Fraction(3))
     b = Interval(Fraction(-1), Fraction(4))

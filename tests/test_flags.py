@@ -23,10 +23,8 @@ from hodgescreen import (
 from hodgescreen.flags import (
     _FAST_PATH_RANGE,
     evaluated_jacobian,
-    is_maximal_transcendence,
     jacobian_matrix,
 )
-from hodgescreen.grading import CocharGrading
 
 from support import (
     ENV,
@@ -450,15 +448,6 @@ def test_trdeg_matches_elimination_oracle():
     for _ in range(12):
         flag = random_poly_flag(rng)
         assert trdeg(flag).value == oracle_trdeg(flag)
-
-
-def test_maximality_is_a_comparison_with_the_flag_variety():
-    f = field_over_q("t1")
-    t1 = f.gen("t1")
-    flag = line_flag(f, (f.one(), t1))
-    result = trdeg(flag)
-    assert is_maximal_transcendence(result, CocharGrading(3, {-1: 1, 0: 1, 1: 1}))
-    assert not is_maximal_transcendence(result, CocharGrading(4, {-1: 2, 0: 2, 1: 0}))
 
 
 _CHART_TERMS = """

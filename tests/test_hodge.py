@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from hodgescreen import (
+    ExactMatrix,
     HodgeNumbers,
     NotAHodgeFiltration,
     NumberField,
@@ -19,7 +20,7 @@ from hodgescreen import (
     filtration_dims,
     gaussian_field,
     polarization_check,
-    realize_and_validate,
+    rank,
     sym,
     tate_twist,
     tensor,
@@ -167,7 +168,7 @@ def elliptic_structure(field, vector):
 def test_realize_the_square_lattice():
     qi = gaussian_field()
     i = qi.gen()
-    structure = realize_and_validate(elliptic_structure(qi, (qi.one(), i)))
+    structure = elliptic_structure(qi, (qi.one(), i))
     assert set(structure.decomposition) == {(1, 0), (0, 1)}
     ((v,),) = (structure.decomposition[(0, 1)],)
     assert v[1] == qi.conj(i)
@@ -175,9 +176,8 @@ def test_realize_the_square_lattice():
 
 def test_rational_line_is_not_a_hodge_filtration():
     qi = gaussian_field()
-    bad = elliptic_structure(qi, (qi.one(), qi.zero()))
     with pytest.raises(NotAHodgeFiltration, match="do not span"):
-        realize_and_validate(bad)
+        elliptic_structure(qi, (qi.one(), qi.zero()))
 
 
 def test_realization_requires_a_conjugation():
@@ -187,43 +187,72 @@ def test_realization_requires_a_conjugation():
         name="c",
     )
     with pytest.raises(NotAHodgeFiltration, match="conjugation"):
-        realize_and_validate(elliptic_structure(cbrt2, (cbrt2.one(), cbrt2.gen())))
+        elliptic_structure(cbrt2, (cbrt2.one(), cbrt2.gen()))
 
 
 def test_realization_step_bookkeeping():
     qi = gaussian_field()
     i = qi.gen()
-    wrong_p = RealizedHodgeStructure(qi, ELLIPTIC, steps=((2, ((qi.one(), i),)),))
-    with pytest.raises(NotAHodgeFiltration, match="expected jumps"):
-        realize_and_validate(wrong_p)
-    too_wide = RealizedHodgeStructure(
-        qi, ELLIPTIC, steps=((1, ((qi.one(), i), (i, qi.one()))),)
-    )
-    with pytest.raises(NotAHodgeFiltration, match="require"):
-        realize_and_validate(too_wide)
-    short_vec = RealizedHodgeStructure(qi, ELLIPTIC, steps=((1, ((qi.one(),),)),))
+    with pytest.raises(NotAHodgeFiltration, match="filtration profile"):
+        RealizedHodgeStructure(qi, ELLIPTIC, steps=((2, ((qi.one(), i),)),))
+    with pytest.raises(NotAHodgeFiltration, match="filtration profile"):
+        RealizedHodgeStructure(
+            qi, ELLIPTIC, steps=((1, ((qi.one(), i), (i, qi.one()))),)
+        )
     with pytest.raises(NotAHodgeFiltration, match="length"):
-        realize_and_validate(short_vec)
+        RealizedHodgeStructure(qi, ELLIPTIC, steps=((1, ((qi.one(),),)),))
 
 
 def test_nesting_is_enforced():
     qi = gaussian_field()
     i = qi.gen()
     numbers = HodgeNumbers(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    not_nested = RealizedHodgeStructure(
-        qi,
-        numbers,
-        steps=(
-            (2, ((qi.one(), i, qi.zero(), qi.zero()),)),
-            (1, (
-                (qi.zero(), qi.one(), qi.zero(), qi.zero()),
-                (qi.zero(), qi.zero(), qi.one(), qi.zero()),
-                (qi.zero(), qi.zero(), qi.zero(), qi.one()),
-            )),
-        ),
-    )
     with pytest.raises(NotAHodgeFiltration, match="not contained"):
-        realize_and_validate(not_nested)
+        RealizedHodgeStructure(
+            qi,
+            numbers,
+            steps=(
+                (2, ((qi.one(), i, qi.zero(), qi.zero()),)),
+                (1, (
+                    (qi.zero(), qi.one(), qi.zero(), qi.zero()),
+                    (qi.zero(), qi.zero(), qi.one(), qi.zero()),
+                    (qi.zero(), qi.zero(), qi.zero(), qi.one()),
+                )),
+            ),
+        )
+
+
+def test_random_weight_two_pieces_are_conj_symmetric_and_span():
+    """F^2 spanned by small Gaussian-integer vectors, F^1 = F^2 plus
+    rational vectors: every structure that constructs has pieces of the
+    declared dimensions, conj(H^{p,q}) spanning H^{q,p}, and pieces that
+    span Q(i)^d.  A non-generic draw may only be refused."""
+    qi = gaussian_field()
+    i = qi.gen()
+    rng = random.Random(20261019)
+    built = 0
+    for _ in range(20):
+        a, b = rng.randint(1, 2), rng.randint(0, 2)
+        d = 2 * a + b
+        top = tuple(tuple(qi.coerce(rng.randint(-2, 2)) + rng.randint(-2, 2) * i
+                          for _ in range(d)) for _ in range(a))
+        steps = [(2, top)]
+        if b:
+            steps.append((1, top + tuple(tuple(qi.coerce(rng.randint(-3, 3)) for _ in range(d))
+                                         for _ in range(b))))
+        numbers = HodgeNumbers(2, {(2, 0): a, (1, 1): b, (0, 2): a})
+        try:
+            structure = RealizedHodgeStructure(qi, numbers, tuple(steps))
+        except NotAHodgeFiltration:
+            continue
+        built += 1
+        pieces = structure.decomposition
+        assert {key: len(basis) for key, basis in pieces.items()} == numbers.dims
+        for (p, q), basis in pieces.items():
+            conj_basis = [tuple(qi.conj(x) for x in v) for v in basis]
+            assert rank(ExactMatrix(qi, conj_basis + list(pieces[(q, p)]))) == len(basis)
+        assert rank(ExactMatrix(qi, [v for basis in pieces.values() for v in basis])) == d
+    assert built >= 16
 
 
 def weight_two_structure():
@@ -241,7 +270,7 @@ def weight_two_structure():
 def test_weight_two_pieces_come_from_the_intersection():
     qi, structure = weight_two_structure()
     one, zero, i = qi.one(), qi.zero(), qi.gen()
-    pieces = realize_and_validate(structure).decomposition
+    pieces = structure.decomposition
     assert pieces == {
         (2, 0): ((one, i, zero),),
         (1, 1): ((zero, zero, one),),
@@ -285,7 +314,7 @@ def test_rational_polarization_of_a_single_type():
     """Over Q with one type (0, 0) every piece is the whole space and the
     hermitian form is S itself."""
     structure = RealizedHodgeStructure(QQ, HodgeNumbers(0, {(0, 0): 2}), steps=())
-    assert realize_and_validate(structure).decomposition == {
+    assert structure.decomposition == {
         (0, 0): ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
     assert polarization_check(structure, PolarizationForm(0, ((2, 1), (1, 1)))).is_valid
     indefinite = polarization_check(structure, PolarizationForm(0, ((1, 0), (0, -1))))

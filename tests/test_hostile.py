@@ -35,6 +35,12 @@ EDGE_RECTANGLES = (
     (("flag_point", "field", "minpoly"), [1, -1, 1]),
 )
 
+# Fraction alone reads these: "1e2000000" as a 6.6-million-bit integer
+NOT_RATIONALS = (
+    ("flag_point/field", ("flag_point", "field", "embedding", 0, 1), "1e2000000"),
+    ("polarization", ("polarization", "matrix", 0, 1), "1.5"),
+)
+
 
 def load(name):
     return json.loads((SPECS / name).read_text())
@@ -105,6 +111,15 @@ def test_a_root_on_the_rectangle_edge_fails_within_a_second(path, value, tmp_pat
     code, err = screen(doc, tmp_path, capsys, seconds=1)
     assert code == 2
     assert "cannot certify the isolating rectangle" in err
+
+
+@pytest.mark.parametrize("label,path,value", NOT_RATIONALS)
+def test_exponents_and_decimal_points_fail_within_a_second(label, path, value,
+                                                          tmp_path, capsys):
+    doc = replaced(load("elliptic-gsp2.json"), path, value)
+    code, err = screen(doc, tmp_path, capsys, seconds=1)
+    assert code == 2
+    assert err.startswith(f"spec error: {label}: {value!r} is not a rational"), err
 
 
 def test_hostile_leaves_end_in_a_documented_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The package namespace: names load on first use, and only the layers a
 call uses are imported."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -81,3 +82,28 @@ def test_the_benchmark_tracer_finds_every_name_it_patches():
     proc = subprocess.run([sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
                           capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+# The integer functions of math that the package uses; none returns a float.
+INTEGER_MATH = {"comb", "gcd", "isqrt", "lcm"}
+
+
+def test_no_floats_in_the_math():
+    """No float literal, no float() call and no math function outside the
+    integer ones, anywhere in the package source."""
+    found = []
+    for path in sorted((ROOT / "src" / "hodgescreen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append(f"{where}: float()")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr not in INTEGER_MATH):
+                found.append(f"{where}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.extend(f"{where}: from math import {alias.name}"
+                             for alias in node.names if alias.name not in INTEGER_MATH)
+    assert not found, found
