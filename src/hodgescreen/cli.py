@@ -51,11 +51,9 @@ def _common_payload(command: str, spec_path: str, doc: SpecDocument) -> dict:
 
 
 def _gradings(doc: SpecDocument):
-    main = grade_report(doc.algebra, doc.cocharacter)
-    gand = None
-    if doc.gand_algebra is not None:
-        gand = grade_report(doc.gand_algebra, doc.cocharacter)
-    return main, gand
+    gand = doc.gand_algebra
+    return (grade_report(doc.algebra, doc.cocharacter),
+            None if gand is None else grade_report(gand, doc.cocharacter))
 
 
 def _trdeg_section(doc: SpecDocument, seed):
@@ -73,10 +71,8 @@ def _trdeg_section(doc: SpecDocument, seed):
 
 def _constant_steps(doc: SpecDocument):
     """Flag steps evaluated down to the base field (no parameters left)."""
-    steps = []
-    for p, vectors in doc.flag.steps:
-        steps.append((p, tuple(tuple(x.eval([]) for x in v) for v in vectors)))
-    return tuple(steps)
+    return tuple((p, tuple(tuple(x.eval([]) for x in v) for v in vectors))
+                 for p, vectors in doc.flag.steps)
 
 
 def _polarization_section(doc: SpecDocument, warnings: list):
@@ -202,17 +198,11 @@ def cmd_hodge(args) -> int:
                 f"hodge {args.op}: last argument must be an integer, "
                 f"got {operands[nfiles]!r}"
             ) from None
+    # looked up on each call, so a wrapper bound on this module is called
+    operation = {"dual": dual, "tensor": tensor, "wedge": wedge, "sym": sym,
+                 "twist": tate_twist}[args.op]
     try:
-        if args.op == "dual":
-            result = dual(tables[0])
-        elif args.op == "tensor":
-            result = tensor(tables[0], tables[1])
-        elif args.op == "wedge":
-            result = wedge(tables[0], k)
-        elif args.op == "sym":
-            result = sym(tables[0], k)
-        else:
-            result = tate_twist(tables[0], k)
+        result = operation(*tables, *([k] if nints else []))
     except ValueError as exc:
         raise MathDomainError(str(exc)) from None
     payload = {

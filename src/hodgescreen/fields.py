@@ -49,6 +49,7 @@ and loading never replaces a name bound first.
 from __future__ import annotations
 
 import importlib
+import operator
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
@@ -110,6 +111,20 @@ def parse_integer(value) -> int:
     if number.denominator != 1:
         raise ValueError(f"{value!r} is not an integer")
     return number.numerator
+
+
+def power(x, n: int, one, mul=operator.mul):
+    """x**n for an integer n >= 0 by repeated squaring, with one as x**0
+    and mul as the product.  It squares only while bits of n remain, so
+    x**(2**j) takes j products."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 class RationalField:
@@ -206,16 +221,7 @@ class NumberFieldElement:
         return self._check_same(other) * self.inverse()
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self.inverse() if n < 0 else self, abs(n), self.field.one())
 
     def __eq__(self, other):
         try:

@@ -43,11 +43,10 @@ class HodgeCocharacter:
     with multiplicity h^{p,q}; the constructor enforces that.
     """
 
-    __slots__ = ("weights", "declared_numbers")
+    __slots__ = ("weights",)
 
     def __init__(self, weights: tuple, declared_numbers: HodgeNumbers | None = None):
         self.weights = weights = tuple(parse_integer(w) for w in weights)
-        self.declared_numbers = declared_numbers
         if declared_numbers is not None:
             expected = sorted(declared_numbers.p_multiset())
             if sorted(weights) != expected:
@@ -60,7 +59,7 @@ class HodgeCocharacter:
         """Central shift lambda + c (a Tate twist on the Hodge side).
 
         The declared numbers no longer match a shifted weight vector, so
-        the shift drops them."""
+        the shift is not checked against them."""
         return HodgeCocharacter(tuple(w + c for w in self.weights))
 
 

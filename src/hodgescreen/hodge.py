@@ -80,10 +80,7 @@ class HodgeNumbers:
         return [(p, q, self.dims[(p, q)]) for p, q in sorted(self.dims, reverse=True)]
 
     def p_multiset(self):
-        out = []
-        for (p, _q), h in self.dims.items():
-            out.extend([p] * h)
-        return sorted(out)
+        return sorted(p for (p, _q), h in self.dims.items() for _ in range(h))
 
     def __eq__(self, other):
         return (
@@ -298,10 +295,6 @@ class PolarizationResult:
         self.status = status  # valid | morphism_fails | positivity_fails
         self.detail = detail
         self.witness = witness  # Fraction when the failing value is rational
-
-    @property
-    def is_valid(self) -> bool:
-        return self.status == "valid"
 
 
 def _bilinear(field, s: ExactMatrix, x, y):

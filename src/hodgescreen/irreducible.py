@@ -35,7 +35,9 @@ xgcd and the derivative) serve every coefficient ring here: each takes
 the ring as a pair (reduce, inverse), RATIONAL for Q and residues_mod(m)
 for Z/m.  Over Q they are also the number fields' product and inverse
 routines, and poly_derivative is the derivative that interval Newton
-refines with.  This module imports only from the standard library.
+refines with.  Loading this module imports only the standard library;
+_powmod imports the package's one repeated-squaring routine,
+fields.power, when it runs.
 """
 
 from __future__ import annotations
@@ -136,13 +138,11 @@ def poly_derivative(coeffs, ring):
 
 def _powmod(base, e, modulus, ring):
     """base^e modulo the polynomial modulus."""
-    result, base = [1], poly_divmod(base, modulus, ring)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(poly_mul(result, base, ring), modulus, ring)[1]
-        base = poly_divmod(poly_mul(base, base, ring), modulus, ring)[1]
-        e >>= 1
-    return result
+    from .fields import power  # here, so that loading this module loads no other
+
+    def mul(a, b):
+        return poly_divmod(poly_mul(a, b, ring), modulus, ring)[1]
+    return power(poly_divmod(base, modulus, ring)[1], e, [1], mul)
 
 
 # -- factoring mod p ---------------------------------------------------------

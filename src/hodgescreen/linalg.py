@@ -71,11 +71,7 @@ class ExactMatrix:
         )
 
     def __sub__(self, other):
-        self._compat(other)
-        return ExactMatrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self + (-other)
 
     def __neg__(self):
         return ExactMatrix(self.field, [[-a for a in row] for row in self.rows])
@@ -318,18 +314,11 @@ def intersection_basis(a: ExactMatrix, b: ExactMatrix):
         raise ValueError("ambient dimension mismatch")
     if a.ncols == 0 or b.ncols == 0:
         return []
-    combined = a.hstack(b)
-    vectors = []
-    for v in kernel_basis(combined):
-        x = v[: a.ncols]
-        vectors.append(a.apply_vector(x))
-    if not vectors:
-        return []
-    # Kernel vectors with x = 0 contribute zero; filter and keep a basis.
     field = a.field
+    vectors = (a.apply_vector(v[: a.ncols]) for v in kernel_basis(a.hstack(b)))
+    # Kernel vectors with x = 0 contribute zero; filter and keep a basis.
     nonzero = [v for v in vectors if any(not field.is_zero(c) for c in v)]
     if not nonzero:
         return []
-    m = ExactMatrix(field, nonzero)
-    reduced, pivots = rref(m)
-    return [reduced.rows[i] for i in range(len(pivots))]
+    reduced, pivots = rref(ExactMatrix(field, nonzero))
+    return list(reduced.rows[: len(pivots)])

@@ -86,13 +86,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_value(self):
-        if self.is_zero():
-            return self.ring.field.zero()
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def degree(self, var: int) -> int:
         """Degree in variable number var; -1 for the zero polynomial."""
         if not self.terms:

@@ -14,6 +14,7 @@ catches that and redraws its point.
 from __future__ import annotations
 
 from .errors import DenominatorVanishes
+from .fields import power
 from .polys import Poly, PolyRing, divexact, poly_gcd
 
 
@@ -35,6 +36,7 @@ class FunctionField:
         return RatFunc(self, self.ring.gen(name), self.ring.one(), reduce=False)
 
     def gens(self):
+        """The generators t_1, ..., t_k, in variable order."""
         return tuple(self.gen(n) for n in self.names)
 
     def from_poly(self, p: Poly) -> "RatFunc":
@@ -86,7 +88,7 @@ class RatFunc:
             den = field.ring.one()
         elif reduce:
             g = poly_gcd(num, den)
-            if not (g.is_constant() and g.constant_value() == field.base.one()):
+            if not g.is_constant():  # the gcd's lex-leading coefficient is one
                 num = divexact(num, g)
                 den = divexact(den, g)
             _, lead = den.lex_leading()
@@ -133,16 +135,8 @@ class RatFunc:
         return RatFunc(self.field, self.num * other.den, self.den * other.num)
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (self.field.one() / self) ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = self.field.one()
+        return power(one / self if n < 0 else self, abs(n), one)
 
     def __eq__(self, other):
         try:
@@ -174,7 +168,7 @@ class RatFunc:
         return self.num.eval(values) / den
 
     def __repr__(self):
-        if self.den.is_constant() and self.den.constant_value() == self.field.base.one():
+        if self.den.is_constant():  # so it is 1, its lex-leading coefficient
             return repr(self.num)
         num = repr(self.num)
         den = repr(self.den)

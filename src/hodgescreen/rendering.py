@@ -18,9 +18,7 @@ from .grading import InvariantReport
 
 def scalar_json(value):
     """Exact JSON image of a rational scalar."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
+    if value is None or isinstance(value, int):  # bool included
         return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -84,7 +82,7 @@ def chain_json(chain) -> dict:
         "flag_dim": chain.flag_dim,
         "g_minus_one_dim": chain.g_minus_one_dim,
         "hcodim": chain.hcodim,
-        "holds": chain.holds,
+        "holds": True,  # a ChainIdentity exists only when it holds
     }
 
 

@@ -16,7 +16,8 @@ and order; jsonschema is only the tests' oracle.  A shape-valid document
 then has every float where the schema asks for an integer reported too
 (JSON Schema counts 2.0 as an integer; this tool does not).  Sizes are
 capped: group.n at 16, minpoly degree at 16, literal exponents, and their
-products through nested powers, at MAX_EXPONENT.  The semantic pass then
+products through nested powers, at MAX_EXPONENT, and each step of a flag
+entry at MAX_STEP_PRODUCTS coefficient products.  The semantic pass then
 builds the actual objects and cross-checks the sections against each
 other (lambda length vs ambient dimension, lambda multiset vs the Hodge
 table, flag step dimensions vs the filtration profile).  All collected
@@ -38,6 +39,7 @@ import json
 import keyword
 import os
 from fractions import Fraction
+from math import comb
 
 from .errors import SpecValidationError
 from .fields import NumberField, QQ, parse_rational
@@ -58,6 +60,10 @@ with open(os.path.join(os.path.dirname(__file__), "spec_schema.json"),
 # -- exact expression entries --------------------------------------------------
 
 MAX_EXPONENT = 64  # larger literal powers are spec errors, raised before evaluation
+# Coefficient products one step of an entry may take, bounded before it runs.
+# The largest step of a shipped spec or a Tier-1 entry takes 29; the step
+# (t1+t2+t3+t4+1)**16, at 250,179, took 1.1 s (2 cores, Python 3.11.7).
+MAX_STEP_PRODUCTS = 300_000
 _TOO_DEEP = "entry nests too deeply to evaluate"
 
 _BINOPS = {
@@ -66,6 +72,18 @@ _BINOPS = {
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
 }
+
+
+def _power_products(m: int, e: int) -> int:
+    """Coefficient products of fields.power for the e-th power of an
+    m-term polynomial, at most: x**j for j > 0 has at most C(j + m - 1, j)
+    terms, and power squares x**(2**i) for each bit i of e below the top
+    one and multiplies by x**(2**i) at each set bit i above the lowest one."""
+    def terms(j):
+        return comb(j + m - 1, j)
+    return (sum(terms(2**i) ** 2 for i in range(e.bit_length() - 1))
+            + sum(terms(e % 2**i) * terms(2**i) for i in range(e.bit_length())
+                  if e >> i & 1 and e % 2**i))
 
 
 def parse_entry(value, env: dict, field):
@@ -77,6 +95,10 @@ def parse_entry(value, env: dict, field):
     either power is evaluated), parentheses, unary signs.
     Nothing else; in particular no floats, no calls, and no '^' (bitwise
     xor precedence would turn i^2 + 1 into i**3 silently).
+    Before each step runs, its coefficient products are bounded from its
+    operands' term counts: m * n for + - * / on operands of m and n terms
+    (numerator plus denominator), _power_products for a power.  A step
+    over MAX_STEP_PRODUCTS is a ValueError.
     """
     if isinstance(value, bool):
         raise ValueError("boolean is not a scalar entry")
@@ -92,6 +114,13 @@ def parse_entry(value, env: dict, field):
         # The parser reports deep nesting (long operator chains, thousands
         # of unary signs) as one of these.
         raise ValueError(_TOO_DEEP) from None
+
+    def bounded(products):
+        if products > MAX_STEP_PRODUCTS:
+            raise ValueError(
+                f"entry {value!r} takes up to {products:,} coefficient products in "
+                f"one step, above the cap of {MAX_STEP_PRODUCTS:,}"
+            )
 
     def walk(node, power=1):
         # power: the product of the literal exponents enclosing node
@@ -135,10 +164,16 @@ def parse_entry(value, env: dict, field):
                         f"nested exponents multiply to {power * exponent}, "
                         f"above the cap of {MAX_EXPONENT}"
                     )
-                return walk(node.left, power * exponent) ** exponent
+                base = walk(node.left, power * exponent)
+                bounded(sum(_power_products(p.term_count(), exponent)
+                            for p in (base.num, base.den)))
+                return base ** exponent
             handler = _BINOPS.get(type(node.op))
             if handler is not None:
-                return handler(walk(node.left, power), walk(node.right, power))
+                operands = walk(node.left, power), walk(node.right, power)
+                m, n = (x.num.term_count() + x.den.term_count() for x in operands)
+                bounded(m * n)
+                return handler(*operands)
         raise ValueError(f"unsupported syntax in entry {value!r}")
 
     try:
@@ -152,16 +187,15 @@ def parse_entry(value, env: dict, field):
 # -- semantic document ----------------------------------------------------------
 
 class SpecDocument:
-    __slots__ = ("raw", "algebra", "cocharacter", "numbers", "conjectures", "flag",
+    __slots__ = ("algebra", "cocharacter", "numbers", "conjectures", "flag",
                  "trdeg_override", "polarization", "gand_algebra")
 
-    def __init__(self, raw: dict, algebra: MatLieAlgebra, cocharacter: HodgeCocharacter,
+    def __init__(self, algebra: MatLieAlgebra, cocharacter: HodgeCocharacter,
                  numbers: HodgeNumbers, conjectures: ConjectureSet,
                  flag: FlagPoint | None = None,
                  trdeg_override: int | None = None,
                  polarization: PolarizationForm | None = None,
                  gand_algebra: MatLieAlgebra | None = None):
-        self.raw = raw
         self.algebra = algebra
         self.cocharacter = cocharacter
         self.numbers = numbers
@@ -175,10 +209,6 @@ class SpecDocument:
     def flag_base_field(self):
         """The number field of the flag's coordinates, or None without a flag."""
         return self.flag.field.base if self.flag is not None else None
-
-    @property
-    def has_flag_data(self) -> bool:
-        return self.flag is not None or self.trdeg_override is not None
 
 
 def _schema_problems(raw) -> list:
@@ -350,7 +380,6 @@ def parse_document(raw: dict) -> SpecDocument:
 
     conj = raw["conjectures"]
     return SpecDocument(
-        raw=raw,
         algebra=algebra,
         cocharacter=cochar,
         numbers=numbers,

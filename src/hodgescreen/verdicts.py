@@ -199,7 +199,10 @@ def trdeg_lower_bound(flag_dim: int, defining_field_trdeg: int,
 
 
 class ChainIdentity:
-    """flag_dim - dim g_{-1} = hcodim, an unconditional identity."""
+    """flag_dim - dim g_{-1} = hcodim, an unconditional identity.
+
+    The constructor raises IdentityViolation when it fails, so every
+    instance holds."""
 
     __slots__ = ("flag_dim", "g_minus_one_dim", "hcodim")
 
@@ -213,17 +216,9 @@ class ChainIdentity:
         self.g_minus_one_dim = g_minus_one_dim
         self.hcodim = hcodim
 
-    @property
-    def holds(self) -> bool:
-        return True
-
 
 def chain_identity(report: InvariantReport) -> ChainIdentity:
-    return ChainIdentity(
-        flag_dim=report.flag_dim,
-        g_minus_one_dim=report.g_minus_one_dim,
-        hcodim=report.hcodim,
-    )
+    return ChainIdentity(report.flag_dim, report.g_minus_one_dim, report.hcodim)
 
 
 def evaluate(trdeg_value: int, report: InvariantReport, conjectures: ConjectureSet,

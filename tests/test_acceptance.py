@@ -103,7 +103,7 @@ def test_criterion_05_chain_identity_on_random_instances():
     for _ in range(200):
         alg, lam = random_classical_instance(rng, max_ambient=8)
         rep = report(alg, HodgeCocharacter(lam))
-        assert chain_identity(rep).holds
+        chain_identity(rep)  # raises IdentityViolation unless it holds
         assert rep.flag_dim - rep.g_minus_one_dim == rep.hcodim
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.3f}s, budget 30s"
@@ -189,7 +189,7 @@ def test_criterion_09_screening_truth_table():
             if "not from geometry" in v.narrative:
                 assert v.conditional_on
                 assert "conditional on" in v.narrative
-        assert all(c.holds for c in chains)
+        assert all(c.flag_dim - c.g_minus_one_dim == c.hcodim for c in chains)
 
 
 def test_criterion_10_polarization_triple():
@@ -203,7 +203,7 @@ def test_criterion_10_polarization_triple():
         steps=((1, ((qi.one(), i),)),),
     )
     standard = PolarizationForm(1, ((0, 1), (-1, 0)))
-    assert polarization_check(elliptic, standard).is_valid
+    assert polarization_check(elliptic, standard).status == "valid"
     flipped = polarization_check(elliptic, PolarizationForm(1, ((0, -1), (1, 0))))
     assert flipped.status == "positivity_fails"
     with pytest.raises(ValueError):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from hodgescreen import ExactMatrix, NumberField, PrecisionExhausted, QQ, gaussian_field
-from hodgescreen import fields, intervals
-from hodgescreen.fields import parse_rational
+from hodgescreen import fields, intervals, irreducible
+from hodgescreen.fields import NumberFieldElement, parse_rational
 from hodgescreen.intervals import (
     Interval,
     Rectangle,
@@ -28,6 +29,8 @@ from hodgescreen.irreducible import (
     poly_xgcd,
     residues_mod,
 )
+
+from hodgescreen.ratfunc import FunctionField, RatFunc
 
 from support import oracle_is_irreducible, package_modules_after
 
@@ -313,6 +316,78 @@ def test_swinnerton_dyer_octic_is_irreducible_within_budget():
     elapsed = time.monotonic() - start
     assert oracle_is_irreducible(coeffs)
     assert elapsed < 2.0, f"took {elapsed:.3f}s, budget 2s"
+
+
+@pytest.mark.parametrize("primes", [3, 4])
+def test_swinnerton_dyer_recombination_stays_within_its_stated_bound(primes, monkeypatch):
+    """irreducible's docstring bound: of the r modular factors, at most
+    2^(r-1) - 1 splits are tried, each counted at its constant-term test
+    (the one call of _symmetric on a single coefficient).  The minimal
+    polynomial of sqrt(2) + sqrt(3) + sqrt(5) (+ sqrt(7)) splits into
+    factors of degree at most 2 modulo every prime."""
+    polynomial = swinnerton_dyer_poly(primes, polys=True)
+    coeffs = tuple(int(c) for c in reversed(polynomial.all_coeffs()))
+    assert len(coeffs) - 1 == 2**primes
+    factor_counts, constant_tests = [], []
+    has_factor, symmetric = irreducible._has_factor, irreducible._symmetric
+
+    def counted_has_factor(f, factors, m):
+        factor_counts.append(len(factors))
+        return has_factor(f, factors, m)
+
+    def counted_symmetric(a, m):
+        if len(a) == 1:
+            constant_tests.append(a)
+        return symmetric(a, m)
+
+    monkeypatch.setattr(irreducible, "_has_factor", counted_has_factor)
+    monkeypatch.setattr(irreducible, "_symmetric", counted_symmetric)
+    assert is_irreducible_over_q(coeffs)
+    (r,) = factor_counts
+    assert r >= 4
+    assert len(constant_tests) <= 2 ** (r - 1) - 1
+
+
+def _gaussian_element():
+    field = gaussian_field()
+    return NumberFieldElement, field.one() + 2 * field.gen()
+
+
+def _rational_function():
+    t1, t2 = FunctionField(QQ, ("t1", "t2")).gens()
+    return RatFunc, (t1 + 2) / (t2 - 1)
+
+
+POWER_BASES = {"number field": _gaussian_element, "rational function": _rational_function}
+
+
+@pytest.mark.parametrize("make", POWER_BASES.values(), ids=POWER_BASES)
+def test_a_power_is_the_repeated_product(make):
+    _cls, x = make()
+    one = x.field.one()
+    inverse = one / x
+    product, inverse_product = one, one
+    for n in range(34):
+        assert x**n == product, n
+        assert x**-n == inverse_product, n
+        product, inverse_product = product * x, inverse_product * inverse
+
+
+@pytest.mark.parametrize("make", POWER_BASES.values(), ids=POWER_BASES)
+def test_a_power_of_two_squares_only_below_its_top_bit(make, monkeypatch):
+    cls, x = make()
+    products = []
+    multiply = cls.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for j in range(7):
+        products.clear()
+        x ** (2**j)
+        assert len(products) == j, j
 
 
 def test_irreducibility_matches_the_sympy_oracle_on_random_polynomials():

@@ -112,7 +112,8 @@ def test_shift_discards_the_declared_table():
     numbers = HodgeNumbers(1, {(1, 0): 1, (0, 1): 1})
     mu = HodgeCocharacter((1, 0), declared_numbers=numbers)
     assert mu.shifted(-1).weights == (0, -1)
-    assert mu.shifted(-1).declared_numbers is None
+    with pytest.raises(ValueError):
+        HodgeCocharacter((0, -1), declared_numbers=numbers)
 
 
 def test_direct_grading_constructor_contracts():

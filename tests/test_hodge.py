@@ -302,7 +302,7 @@ def test_gram_schmidt_over_a_two_dimensional_piece():
     structure = RealizedHodgeStructure(
         qi, numbers, steps=((1, ((one, i, zero, zero), (one, i, one, i))),))
     pairing = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-    assert polarization_check(structure, PolarizationForm(1, pairing)).is_valid
+    assert polarization_check(structure, PolarizationForm(1, pairing)).status == "valid"
     mixed = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
     result = polarization_check(structure, PolarizationForm(1, mixed))
     assert result.status == "positivity_fails"
@@ -316,7 +316,7 @@ def test_rational_polarization_of_a_single_type():
     structure = RealizedHodgeStructure(QQ, HodgeNumbers(0, {(0, 0): 2}), steps=())
     assert structure.decomposition == {
         (0, 0): ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
-    assert polarization_check(structure, PolarizationForm(0, ((2, 1), (1, 1)))).is_valid
+    assert polarization_check(structure, PolarizationForm(0, ((2, 1), (1, 1)))).status == "valid"
     indefinite = polarization_check(structure, PolarizationForm(0, ((1, 0), (0, -1))))
     assert indefinite.status == "positivity_fails"
     assert indefinite.detail == "i^(0-0) S(w, conj w) is not positive on H^0,0 (value -1)"
@@ -340,7 +340,7 @@ def test_square_lattice_polarization_triple():
     i = qi.gen()
     structure = elliptic_structure(qi, (qi.one(), i))
     good = polarization_check(structure, SQUARE_LATTICE_PAIRING)
-    assert good.is_valid and good.status == "valid"
+    assert good.status == "valid"
     flipped = polarization_check(structure, PolarizationForm(1, ((0, -1), (1, 0))))
     assert flipped.status == "positivity_fails"
     assert flipped.witness == Fraction(-2)
@@ -352,7 +352,7 @@ def test_weight_two_positivity_convention():
     numbers = HodgeNumbers(2, {(2, 0): 1, (0, 2): 1})
     structure = RealizedHodgeStructure(qi, numbers, steps=((2, ((qi.one(), i),)),))
     # i^(2-0) = -1 flips the sign requirement on H^{2,0}
-    assert polarization_check(structure, PolarizationForm(2, ((-1, 0), (0, -1)))).is_valid
+    assert polarization_check(structure, PolarizationForm(2, ((-1, 0), (0, -1)))).status == "valid"
     plus = polarization_check(structure, PolarizationForm(2, ((1, 0), (0, 1))))
     assert plus.status == "positivity_fails"
     assert plus.witness == Fraction(-2)

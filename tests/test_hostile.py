@@ -10,6 +10,7 @@ import signal
 import pytest
 
 from hodgescreen.cli import main
+from hodgescreen.schema import MAX_STEP_PRODUCTS
 
 from support import ROOT
 
@@ -52,6 +53,15 @@ def replaced(doc, path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    return doc
+
+
+def four_parameter_doc(entry):
+    """elliptic-gsp2 over four parameters, with entry as its second flag
+    coordinate."""
+    doc = load("elliptic-gsp2.json")
+    doc["flag_point"]["params"] = ["t1", "t2", "t3", "t4"]
+    doc["flag_point"]["steps"][0]["basis"][0][1] = entry
     return doc
 
 
@@ -120,6 +130,21 @@ def test_exponents_and_decimal_points_fail_within_a_second(label, path, value,
     code, err = screen(doc, tmp_path, capsys, seconds=1)
     assert code == 2
     assert err.startswith(f"spec error: {label}: {value!r} is not a rational"), err
+
+
+@pytest.mark.parametrize("exponent", [32, 64])
+def test_a_flag_entry_over_the_step_bound_fails_within_a_second(exponent, tmp_path, capsys):
+    doc = four_parameter_doc(f"i + (t1 + t2 + t3 + t4 + 1)**{exponent}")
+    code, err = screen(doc, tmp_path, capsys, "--seed", "3", seconds=1)
+    assert code == 2
+    assert err.startswith("spec error: flag_point/steps/0/basis/0/1: entry "), err
+    assert f"above the cap of {MAX_STEP_PRODUCTS:,}" in err
+
+
+@pytest.mark.parametrize("entry", ["i + (t1 + t2 + t3 + t4 + 1)**8", "i + (t1 - t1)**2"])
+def test_a_flag_entry_under_the_step_bound_is_read(entry, tmp_path, capsys):
+    code, err = screen(four_parameter_doc(entry), tmp_path, capsys, "--seed", "3", seconds=5)
+    assert code == 0, err
 
 
 def test_hostile_leaves_end_in_a_documented_exit_code(tmp_path, capsys):

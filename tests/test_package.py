@@ -107,3 +107,25 @@ def test_no_floats_in_the_math():
                 found.extend(f"{where}: from math import {alias.name}"
                              for alias in node.names if alias.name not in INTEGER_MATH)
     assert not found, found
+
+
+# Attributes that errors.py sets for the callers that catch its exceptions.
+EXCEPTION_PAYLOADS = {("errors.py", "index"), ("errors.py", "pair"), ("errors.py", "problems")}
+
+
+def test_no_state_is_written_and_never_read():
+    """Every self.X = ... in the package source has a read of .X
+    somewhere in it, apart from the exception payloads above."""
+    writes, reads = set(), set()
+    for path in sorted((ROOT / "src" / "hodgescreen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                writes.add((path.name, node.attr))
+    assert EXCEPTION_PAYLOADS <= writes
+    unread = sorted((name, attr) for name, attr in writes - EXCEPTION_PAYLOADS
+                    if attr not in reads)
+    assert not unread, unread

@@ -133,7 +133,8 @@ def test_bounds_carry_their_single_hypothesis():
 
 def test_chain_identity_holds_and_detects_corruption():
     rep = make_report(4, 2)
-    assert chain_identity(rep).holds
+    chain = chain_identity(rep)
+    assert chain.flag_dim - chain.g_minus_one_dim == chain.hcodim
     with pytest.raises(IdentityViolation):
         ChainIdentity(flag_dim=4, g_minus_one_dim=1, hcodim=2)
 
