@@ -143,6 +143,17 @@ def test_screen_with_override(tmp_path):
     assert proc.returncode == 10
     payload = json.loads(proc.stdout)
     assert payload["trdeg"]["source"] == "override"
+    # the whole section, with and without a seed: an override has no seed
+    section = {"value": 1, "source": "override", "params": [], "chart_length": 0,
+               "seed": None, "certificate": None}
+    text = ("transcendence degree\n  value              1\n  source             override\n"
+            "  params             (none)\n  seed               (none)\n\n")
+    for seed in ([], ["--seed", "5"]):
+        proc = run("screen", "--json", *seed, spec_text=doc, tmp_path=tmp_path)
+        assert json.loads(proc.stdout)["trdeg"] == section
+        proc = run("screen", *seed, spec_text=doc, tmp_path=tmp_path)
+        assert proc.returncode == 10
+        assert text in proc.stdout
     doc["trdeg_override"] = 2
     proc = run("screen", spec_text=doc, tmp_path=tmp_path)
     assert proc.returncode == 0

@@ -3,6 +3,7 @@ call uses are imported."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -73,15 +74,45 @@ def test_number_field_helpers_load_only_for_a_number_field(spec, code, number_fi
     assert ("irreducible" in loaded) is number_field
 
 
+# One small operation per in-process workload, in the job format of
+# perfbench/worker.py, with its output: a graded gl(3), and the flag
+# <(t1, 1, 2)> with no seed (the symbolic Jacobian) and with one (the
+# evaluated fast path).
+_FLAG = {"k": 1, "d": 3, "vectors": [[[[1, [1]]], [[1, [0]]], [[2, [0]]]]]}
+WORKER_OPS = {
+    "grading_ladder": ({"kind": "gl", "n": 3, "lam": [2, 1, 0]},
+                       {"levels": [[-2, 1], [-1, 2], [0, 3], [1, 2], [2, 1]],
+                        "flag_dim": 3, "hcodim": 1}),
+    "trdeg_symbolic": ({**_FLAG, "trdeg_seed": None}, {"value": 1}),
+    "trdeg_seeded": ({**_FLAG, "trdeg_seed": 5}, {"value": 1}),
+}
+
+
 def test_the_benchmark_tracer_finds_every_name_it_patches():
     """perfbench/spans.py rebinds package functions and methods by name
     (flags.inverse, RatFunc.derivative, ...), so deleting or renaming one
     of them breaks the traced benchmark run; install it in a fresh
-    interpreter."""
+    interpreter.  perfbench/worker.py and the tracer also read the fields
+    of the package's result records (rep.levels, trdeg(...).value,
+    chart_coordinates, the Jacobian's rows), so run one operation of each
+    in-process workload through the worker, untraced and traced."""
     env = {**ENV, "PYTHONPATH": os.pathsep.join((str(ROOT / "perfbench"), ENV["PYTHONPATH"]))}
     proc = subprocess.run([sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
                           capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+    for workload, (op, out) in WORKER_OPS.items():
+        job = {"workload": workload, "ops": [op], "seconds": 0, "deadline": 5,
+               "pass_limit": 5, "trace": True, "probe": False}
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "worker.py")],
+                              input=json.dumps(job), capture_output=True, text=True,
+                              timeout=120, env=ENV, cwd=ROOT)
+        assert proc.returncode == 0, (workload, proc.stderr)
+        ready, line = proc.stdout.splitlines()
+        assert ready.startswith("ready"), workload
+        passes = json.loads(line)
+        for name in ("untraced", "traced"):
+            results = [(r["status"], r["out"]) for r in passes[name]["results"]]
+            assert results == [("ok", out)], (workload, name, results)
 
 
 # The integer functions of math that the package uses; none returns a float.

@@ -73,6 +73,50 @@ def test_screen_rejects_only_with_both_hypotheses():
             assert "no conclusion" in v.narrative
 
 
+BOTH = ("hodge-cycles-motivated", "generalized-grothendieck-period-conjecture")
+BOTH_TEXT = ("Hodge cycles are motivated; the generalized Grothendieck period "
+             "conjecture")
+NEEDS_BOTH = ("needs both 'Hodge cycles are motivated' and 'the generalized "
+              "Grothendieck period conjecture' enabled; no conclusion about "
+              "geometric origin")
+
+
+def test_every_screening_branch_has_its_exact_verdict():
+    """kind, payload, conditional_on and narrative of each branch of
+    screen and shimura_necessity, word for word."""
+    rep, shimura = make_report(4, 2), make_report(3, 0)
+    no_ggpc = ConjectureSet(motivated=True, gpc=True, ggpc=False)
+    cases = [
+        (screen(3, rep, ALL_OFF), "consistent", {"trdeg": 3, "hcodim": 2}, (),
+         "transcendence degree 3 >= horizontal codimension 2: no obstruction "
+         "from the screening inequality"),
+        (screen(1, rep, ALL_ON), "not_from_geometry", {"trdeg": 1, "hcodim": 2}, BOTH,
+         "transcendence degree 1 < horizontal codimension 2: this Hodge structure "
+         f"is not from geometry (conditional on: {BOTH_TEXT})"),
+        (screen(1, rep, no_ggpc), "bound", {"trdeg": 1, "hcodim": 2}, (),
+         "transcendence degree 1 < horizontal codimension 2, but the screening "
+         f"conclusion {NEEDS_BOTH}"),
+        (shimura_necessity(1, rep, ALL_ON), "consistent",
+         {"trdeg": 1, "shimura_type": False}, (),
+         "the Shimura-type necessity test does not reject this structure"),
+        (shimura_necessity(0, shimura, ALL_ON), "consistent",
+         {"trdeg": 0, "shimura_type": True}, (),
+         "the Shimura-type necessity test does not reject this structure"),
+        (shimura_necessity(0, rep, ALL_ON), "shimura_violation",
+         {"trdeg": 0, "shimura_type": False}, BOTH,
+         "the filtration is defined over the algebraic numbers but the group is "
+         "not of Shimura type: this Hodge structure is not from geometry "
+         f"(conditional on: {BOTH_TEXT})"),
+        (shimura_necessity(0, rep, ALL_OFF), "bound",
+         {"trdeg": 0, "shimura_type": False}, (),
+         "the filtration is defined over the algebraic numbers and the group is "
+         f"not of Shimura type, but the necessity conclusion {NEEDS_BOTH}"),
+    ]
+    for v, kind, payload, conditional_on, narrative in cases:
+        assert (v.kind, v.payload, v.conditional_on, v.narrative) == (
+            kind, payload, conditional_on, narrative)
+
+
 def test_screen_is_monotone_in_trdeg():
     rep = make_report(5, 3)
     kinds = [screen(t, rep, ALL_ON).kind for t in range(6)]
