@@ -16,7 +16,7 @@ import sys
 
 from . import rendering as rp
 from .errors import MathDomainError, SpecValidationError
-from .flags import trdeg
+from .flags import TrdegResult, trdeg
 from .grading import report as grade_report
 from .hodge import (
     RealizedHodgeStructure,
@@ -63,7 +63,8 @@ def _trdeg_section(doc: SpecDocument, seed):
         warnings = [_INDEPENDENCE_NOTE] if result.params else []
         return rp.trdeg_json(result, seed), result.value, warnings
     if doc.trdeg_override is not None:
-        return rp.override_json(doc.trdeg_override), doc.trdeg_override, []
+        result = TrdegResult(doc.trdeg_override, (), ())
+        return rp.trdeg_json(result, None, "override"), result.value, []
     raise SpecValidationError(
         "this command needs transcendence data: declare flag_point or trdeg_override"
     )
@@ -107,8 +108,8 @@ def cmd_invariants(args) -> int:
     doc = load_document(args.spec)
     main, gand = _gradings(doc)
     payload = _common_payload("invariants", args.spec, doc)
-    payload["invariants"] = rp.invariants_json(main)
-    payload["gand_invariants"] = rp.invariants_json(gand) if gand else None
+    payload["invariants"] = main._asdict()
+    payload["gand_invariants"] = gand._asdict() if gand else None
     warnings = []
     if not main.symmetric_grading:
         warnings.append(_ASYMMETRY_NOTE)
@@ -128,14 +129,10 @@ def cmd_screen(args) -> int:
     polarization = _polarization_section(doc, warnings)
     code = exit_code_for(verdicts)
     payload = _common_payload("screen", args.spec, doc)
-    payload["invariants"] = rp.invariants_json(main)
-    payload["gand_invariants"] = rp.invariants_json(gand) if gand else None
+    payload["invariants"] = main._asdict()
+    payload["gand_invariants"] = gand._asdict() if gand else None
     payload["trdeg"] = trdeg_section
-    payload["conjectures"] = {
-        "motivated": doc.conjectures.motivated,
-        "gpc": doc.conjectures.gpc,
-        "ggpc": doc.conjectures.ggpc,
-    }
+    payload["conjectures"] = doc.conjectures._asdict()
     payload["chain_identity"] = [rp.chain_json(c) for c in chains]
     payload["verdicts"] = [rp.verdict_json(v) for v in verdicts]
     payload["polarization"] = polarization

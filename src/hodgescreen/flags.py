@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DenominatorVanishes
 from .fields import parse_integer
@@ -161,15 +162,11 @@ def normalize_chart(flag: FlagPoint):
     return coords
 
 
-class TrdegResult:
-    __slots__ = ("value", "chart_coordinates", "params", "certificate")
-
-    def __init__(self, value: int, chart_coordinates: tuple, params: tuple,
-                 certificate: dict | None = None):
-        self.value = value
-        self.chart_coordinates = chart_coordinates
-        self.params = params
-        self.certificate = certificate
+class TrdegResult(NamedTuple):
+    value: int
+    chart_coordinates: tuple
+    params: tuple
+    certificate: dict | None = None
 
 
 def jacobian_matrix(coords, field: FunctionField) -> ExactMatrix:

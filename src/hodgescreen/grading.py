@@ -29,6 +29,8 @@ weight k: one small rank per weight that occurs.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import IncompleteGrading
 from .fields import parse_integer
 from .lie import MatLieAlgebra, adjoint_of_diagonal
@@ -116,33 +118,27 @@ def is_shimura_type(grading: CocharGrading) -> bool:
     return all(k in (-1, 0, 1) for k in grading.levels)
 
 
-class InvariantReport:
-    __slots__ = ("dim_g", "flag_dim", "hcodim", "g_minus_one_dim",
-                 "shimura_type", "symmetric_grading", "levels")
+class InvariantReport(NamedTuple):
+    """The invariants of one grading; levels are (k, dim g_k) by k ascending."""
 
-    def __init__(self, dim_g: int, flag_dim: int, hcodim: int, g_minus_one_dim: int,
-                 shimura_type: bool, symmetric_grading: bool, levels: tuple):
-        self.dim_g = dim_g
-        self.flag_dim = flag_dim
-        self.hcodim = hcodim
-        self.g_minus_one_dim = g_minus_one_dim
-        self.shimura_type = shimura_type
-        self.symmetric_grading = symmetric_grading
-        self.levels = levels
-
-    @staticmethod
-    def from_grading(grading: CocharGrading) -> "InvariantReport":
-        return InvariantReport(
-            dim_g=grading.algebra_dim,
-            flag_dim=flag_dimension(grading),
-            hcodim=hcodim(grading),
-            g_minus_one_dim=grading.level(-1),
-            shimura_type=is_shimura_type(grading),
-            symmetric_grading=grading.is_symmetric(),
-            levels=tuple(grading.sorted_levels()),
-        )
+    dim_g: int
+    flag_dim: int
+    hcodim: int
+    g_minus_one_dim: int
+    shimura_type: bool
+    symmetric_grading: bool
+    levels: tuple
 
 
 def report(algebra: MatLieAlgebra, mu: HodgeCocharacter) -> InvariantReport:
     """Grade and summarize in one call."""
-    return InvariantReport.from_grading(grade(algebra, mu))
+    grading = grade(algebra, mu)
+    return InvariantReport(
+        dim_g=grading.algebra_dim,
+        flag_dim=flag_dimension(grading),
+        hcodim=hcodim(grading),
+        g_minus_one_dim=grading.level(-1),
+        shimura_type=is_shimura_type(grading),
+        symmetric_grading=grading.is_symmetric(),
+        levels=tuple(grading.sorted_levels()),
+    )

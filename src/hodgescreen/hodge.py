@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotAHodgeFiltration
-from .fields import QQ, parse_integer
+from .fields import QQ, RationalField, parse_integer
 from .flags import FlagPoint
 from .linalg import ExactMatrix, intersection_basis, rank
 from .ratfunc import FunctionField
@@ -288,13 +289,10 @@ class PolarizationForm:
             raise ValueError(f"weight {weight} polarization must be {kind}")
 
 
-class PolarizationResult:
-    __slots__ = ("status", "detail", "witness")
-
-    def __init__(self, status: str, detail: str = "", witness=None):
-        self.status = status  # valid | morphism_fails | positivity_fails
-        self.detail = detail
-        self.witness = witness  # Fraction when the failing value is rational
+class PolarizationResult(NamedTuple):
+    status: str  # valid | morphism_fails | positivity_fails
+    detail: str = ""
+    witness: Fraction | None = None  # when the failing value is rational
 
 
 def _bilinear(field, s: ExactMatrix, x, y):
@@ -321,7 +319,7 @@ def _rational_sqrt(value: Fraction):
 
 def _hermitian_witness(field, delta, parity, sign):
     """The real value i^(p-q) * delta as a Fraction when it is rational."""
-    if field is QQ or isinstance(field, type(QQ)):
+    if isinstance(field, RationalField):
         return delta if parity % 2 == 0 else None
     square = delta * delta
     coords = square.coords
@@ -383,7 +381,7 @@ def polarization_check(structure: RealizedHodgeStructure, form: PolarizationForm
             ortho.append(u)
             deltas.append(delta)
         for delta in deltas:
-            if field is QQ or not hasattr(field, "sign_imag"):
+            if isinstance(field, RationalField):
                 # Rational scalars: delta is a rational number, weight even.
                 value = delta if parity == 0 else -delta
                 sign = 1 if value > 0 else -1

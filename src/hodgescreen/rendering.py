@@ -5,15 +5,16 @@ One payload dict feeds both output modes.  JSON output is canonical
 walks the same payload, so repeated runs on the same input are
 byte-identical in either mode.  Exact scalars serialize as JSON
 integers when integral and as "a/b" strings otherwise; nothing is ever
-converted to a float.
+converted to a float.  The invariants, gand_invariants and conjectures
+sections are their records' _asdict() (grading.InvariantReport,
+verdicts.ConjectureSet): to_json sorts the keys and writes tuples as
+lists.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-
-from .grading import InvariantReport
 
 
 def scalar_json(value):
@@ -27,44 +28,18 @@ def scalar_json(value):
     return str(value)
 
 
-def invariants_json(rep: InvariantReport) -> dict:
-    return {
-        "dim_g": rep.dim_g,
-        "flag_dim": rep.flag_dim,
-        "hcodim": rep.hcodim,
-        "g_minus_one_dim": rep.g_minus_one_dim,
-        "shimura_type": rep.shimura_type,
-        "symmetric_grading": rep.symmetric_grading,
-        "levels": [[k, d] for k, d in rep.levels],
-    }
-
-
-def trdeg_json(result, seed) -> dict:
-    certificate = None
-    if result.certificate is not None:
-        certificate = {
-            "seed": result.certificate["seed"],
-            "point": [scalar_json(x) for x in result.certificate["point"]],
-            "evaluated_rank": result.certificate["evaluated_rank"],
-        }
+def trdeg_json(result, seed, source: str = "flag_point") -> dict:
+    """The trdeg section of a flags.TrdegResult.  A declared override is a
+    result with no chart and no parameters, under source "override"."""
+    cert = result.certificate
     return {
         "value": result.value,
-        "source": "flag_point",
+        "source": source,
         "params": list(result.params),
         "chart_length": len(result.chart_coordinates),
         "seed": seed,
-        "certificate": certificate,
-    }
-
-
-def override_json(value: int) -> dict:
-    return {
-        "value": int(value),
-        "source": "override",
-        "params": [],
-        "chart_length": 0,
-        "seed": None,
-        "certificate": None,
+        "certificate": None if cert is None else {
+            **cert, "point": [scalar_json(x) for x in cert["point"]]},
     }
 
 
@@ -87,11 +62,7 @@ def chain_json(chain) -> dict:
 
 
 def polarization_json(result) -> dict:
-    return {
-        "status": result.status,
-        "detail": result.detail,
-        "witness": scalar_json(result.witness),
-    }
+    return {**result._asdict(), "witness": scalar_json(result.witness)}
 
 
 def group_json(algebra) -> dict:

@@ -40,6 +40,7 @@ import keyword
 import os
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import SpecValidationError
 from .fields import NumberField, QQ, parse_rational
@@ -186,24 +187,15 @@ def parse_entry(value, env: dict, field):
 
 # -- semantic document ----------------------------------------------------------
 
-class SpecDocument:
-    __slots__ = ("algebra", "cocharacter", "numbers", "conjectures", "flag",
-                 "trdeg_override", "polarization", "gand_algebra")
-
-    def __init__(self, algebra: MatLieAlgebra, cocharacter: HodgeCocharacter,
-                 numbers: HodgeNumbers, conjectures: ConjectureSet,
-                 flag: FlagPoint | None = None,
-                 trdeg_override: int | None = None,
-                 polarization: PolarizationForm | None = None,
-                 gand_algebra: MatLieAlgebra | None = None):
-        self.algebra = algebra
-        self.cocharacter = cocharacter
-        self.numbers = numbers
-        self.conjectures = conjectures
-        self.flag = flag
-        self.trdeg_override = trdeg_override
-        self.polarization = polarization
-        self.gand_algebra = gand_algebra
+class SpecDocument(NamedTuple):
+    algebra: MatLieAlgebra
+    cocharacter: HodgeCocharacter
+    numbers: HodgeNumbers
+    conjectures: ConjectureSet
+    flag: FlagPoint | None = None
+    trdeg_override: int | None = None
+    polarization: PolarizationForm | None = None
+    gand_algebra: MatLieAlgebra | None = None
 
     @property
     def flag_base_field(self):

@@ -29,6 +29,8 @@ motivic Galois group, the bound pair is computed on both sides.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import IdentityViolation
 from .grading import InvariantReport
 
@@ -46,15 +48,12 @@ KINDS = ("not_from_geometry", "consistent", "shimura_violation",
          "maximal_transcendence", "bound")
 
 
-class ConjectureSet:
+class ConjectureSet(NamedTuple):
     """Explicit toggles for the conditional hypotheses."""
 
-    __slots__ = ("motivated", "gpc", "ggpc")
-
-    def __init__(self, motivated: bool, gpc: bool, ggpc: bool):
-        self.motivated = motivated
-        self.gpc = gpc
-        self.ggpc = ggpc
+    motivated: bool
+    gpc: bool
+    ggpc: bool
 
 
 class Verdict:
@@ -74,77 +73,48 @@ def _conditions_text(labels) -> str:
     return "; ".join(_LABEL_TEXT[l] for l in labels)
 
 
+def _not_from_geometry(kind: str, payload: dict, conjectures: ConjectureSet,
+                       premise: str, bare_premise: str, test: str) -> Verdict:
+    """The rule both screens share: premise shows the structure is not from
+    geometry, conditional on motivated Hodge cycles and the generalized
+    period conjecture, so kind's verdict needs both toggles on.  Otherwise
+    a bound records bare_premise and draws no conclusion."""
+    labels = (MOTIVATED, GGPC)
+    if conjectures.motivated and conjectures.ggpc:
+        return Verdict(kind, payload, labels, (
+            f"{premise}: this Hodge structure is not from geometry "
+            f"(conditional on: {_conditions_text(labels)})"))
+    needed = " and ".join(f"'{_LABEL_TEXT[label]}'" for label in labels)
+    return Verdict("bound", payload, (), (
+        f"{bare_premise}, but the {test} conclusion needs both {needed} "
+        "enabled; no conclusion about geometric origin"))
+
+
 def screen(trdeg_value: int, report: InvariantReport, conjectures: ConjectureSet) -> Verdict:
     """The main screening inequality trdeg < hcodim."""
     t, h = int(trdeg_value), report.hcodim
+    payload = {"trdeg": t, "hcodim": h}
     if t >= h:
-        return Verdict(
-            kind="consistent",
-            payload={"trdeg": t, "hcodim": h},
-            conditional_on=(),
-            narrative=(
-                f"transcendence degree {t} >= horizontal codimension {h}: "
-                f"no obstruction from the screening inequality"
-            ),
-        )
-    if conjectures.motivated and conjectures.ggpc:
-        labels = (MOTIVATED, GGPC)
-        return Verdict(
-            kind="not_from_geometry",
-            payload={"trdeg": t, "hcodim": h},
-            conditional_on=labels,
-            narrative=(
-                f"transcendence degree {t} < horizontal codimension {h}: "
-                f"this Hodge structure is not from geometry "
-                f"(conditional on: {_conditions_text(labels)})"
-            ),
-        )
-    return Verdict(
-        kind="bound",
-        payload={"trdeg": t, "hcodim": h},
-        conditional_on=(),
-        narrative=(
-            f"transcendence degree {t} < horizontal codimension {h}, but the "
-            f"screening conclusion needs both '{_LABEL_TEXT[MOTIVATED]}' and "
-            f"'{_LABEL_TEXT[GGPC]}' enabled; no conclusion about geometric origin"
-        ),
-    )
+        return Verdict("consistent", payload, (), (
+            f"transcendence degree {t} >= horizontal codimension {h}: "
+            f"no obstruction from the screening inequality"))
+    premise = f"transcendence degree {t} < horizontal codimension {h}"
+    return _not_from_geometry("not_from_geometry", payload, conjectures,
+                              premise, premise, "screening")
 
 
 def shimura_necessity(trdeg_value: int, report: InvariantReport,
                       conjectures: ConjectureSet) -> Verdict:
     """Special case: a Q-bar-defined filtration forces Shimura type."""
     t = int(trdeg_value)
-    if t == 0 and not report.shimura_type:
-        if conjectures.motivated and conjectures.ggpc:
-            labels = (MOTIVATED, GGPC)
-            return Verdict(
-                kind="shimura_violation",
-                payload={"trdeg": t, "shimura_type": False},
-                conditional_on=labels,
-                narrative=(
-                    "the filtration is defined over the algebraic numbers but the "
-                    "group is not of Shimura type: this Hodge structure is not from "
-                    f"geometry (conditional on: {_conditions_text(labels)})"
-                ),
-            )
-        return Verdict(
-            kind="bound",
-            payload={"trdeg": t, "shimura_type": False},
-            conditional_on=(),
-            narrative=(
-                "the filtration is defined over the algebraic numbers and the group "
-                "is not of Shimura type, but the necessity conclusion needs both "
-                f"'{_LABEL_TEXT[MOTIVATED]}' and '{_LABEL_TEXT[GGPC]}' enabled; "
-                "no conclusion about geometric origin"
-            ),
-        )
-    return Verdict(
-        kind="consistent",
-        payload={"trdeg": t, "shimura_type": report.shimura_type},
-        conditional_on=(),
-        narrative="the Shimura-type necessity test does not reject this structure",
-    )
+    payload = {"trdeg": t, "shimura_type": report.shimura_type}
+    if t != 0 or report.shimura_type:
+        return Verdict("consistent", payload, (),
+                       "the Shimura-type necessity test does not reject this structure")
+    premise = ("the filtration is defined over the algebraic numbers {} the group "
+               "is not of Shimura type")
+    return _not_from_geometry("shimura_violation", payload, conjectures,
+                              premise.format("but"), premise.format("and"), "necessity")
 
 
 def maximal_transcendence_verdict(trdeg_value: int, report: InvariantReport) -> Verdict | None:
