@@ -77,7 +77,7 @@ def _not_from_geometry(kind: str, payload: dict, conjectures: ConjectureSet,
                        premise: str, bare_premise: str, test: str) -> Verdict:
     """The rule both screens share: premise shows the structure is not from
     geometry, conditional on motivated Hodge cycles and the generalized
-    period conjecture, so kind's verdict needs both toggles on.  Otherwise
+    period conjecture, so kind's verdict requires both toggles on.  Otherwise
     a bound records bare_premise and draws no conclusion."""
     labels = (MOTIVATED, GGPC)
     if conjectures.motivated and conjectures.ggpc:
