@@ -70,12 +70,6 @@ def _trdeg_section(doc: SpecDocument, seed):
     )
 
 
-def _constant_steps(doc: SpecDocument):
-    """Flag steps evaluated down to the base field (no parameters left)."""
-    return tuple((p, tuple(tuple(x.eval([]) for x in v) for v in vectors))
-                 for p, vectors in doc.flag.steps)
-
-
 def _polarization_section(doc: SpecDocument, warnings: list):
     if doc.polarization is None:
         return None
@@ -96,11 +90,7 @@ def _polarization_section(doc: SpecDocument, warnings: list):
             "complex conjugation (set conjugate_image)"
         )
         return None
-    structure = RealizedHodgeStructure(
-        field=doc.flag_base_field,
-        numbers=doc.numbers,
-        steps=_constant_steps(doc),
-    )
+    structure = RealizedHodgeStructure(doc.flag, doc.numbers)
     return rp.polarization_json(polarization_check(structure, doc.polarization))
 
 
@@ -157,9 +147,7 @@ def cmd_trdeg(args) -> int:
 
 def cmd_lie_check(args) -> int:
     doc = load_document(args.spec)
-    grade_report(doc.algebra, doc.cocharacter)
-    if doc.gand_algebra is not None:
-        grade_report(doc.gand_algebra, doc.cocharacter)
+    _gradings(doc)
     payload = _common_payload("lie-check", args.spec, doc)
     # load_document and grade_report raise before this line if any check fails
     payload["checks"] = dict.fromkeys(

@@ -234,6 +234,9 @@ class NumberFieldElement:
         return any(c != 0 for c in self.coords)
 
     def __hash__(self):
+        # == coerces rationals into the field, so a rational hashes as one
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash((self.field.minpoly, self.coords))
 
     def __repr__(self):

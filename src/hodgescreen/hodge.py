@@ -8,13 +8,13 @@ vectors, counting the choices of n vectors by their p-sum, so the cost
 is the dimension times the p-sums of each of the k rows; sym refuses a
 power whose cost would pass SYM_WORK_BOUND, one to two seconds of work.
 
-A RealizedHodgeStructure carries an actual filtration: bases over Q or
-over a conjugation-stable number field Q(theta).  It is checked at
-construction: check_profile matches the step sizes against the Hodge
-numbers, the same check the spec reader runs, and building a
-parameter-free flags.FlagPoint over Q(theta) checks the vector lengths,
-the independence of each step and the nesting.  The constructor then
-computes
+A RealizedHodgeStructure carries an actual filtration: a flags.FlagPoint
+without parameters, whose bases lie over Q or over a conjugation-stable
+number field Q(theta).  The FlagPoint has already checked the vector
+lengths, the independence of each step and the nesting, so the
+structure checks only what is Hodge-specific: check_profile matches the
+step sizes against the Hodge numbers, the same check the spec reader
+runs, and the ambient dimension must be their total.  It then computes
 
     H^{p,q} = F^p  intersect  conj(F^{n-p})
 
@@ -44,9 +44,7 @@ from typing import NamedTuple
 
 from .errors import NotAHodgeFiltration
 from .fields import QQ, RationalField, parse_integer
-from .flags import FlagPoint
 from .linalg import ExactMatrix, intersection_basis, rank
-from .ratfunc import FunctionField
 
 
 class HodgeNumbers:
@@ -208,36 +206,41 @@ def check_profile(numbers: HodgeNumbers, steps) -> int:
 
 
 class RealizedHodgeStructure:
-    """A filtration with actual coordinates over Q or Q(theta), checked at
-    construction.
+    """A filtration with actual coordinates over Q or Q(theta), realized on
+    a flags.FlagPoint without parameters and checked at construction.
 
-    steps lists (p, basis vectors of F^p) for every jump p with
-    dim F^p < dim; the lowest jump, where F^p is everything, is implied.
+    The flag's steps list (p, basis vectors of F^p), p descending, for
+    every jump p with dim F^p < dim; the lowest jump, where F^p is
+    everything, is implied.  The FlagPoint has already checked the
+    vector lengths, the independence of each step and the nesting.
     decomposition maps each type (p, q) to a basis of H^{p,q}.  Raises
-    NotAHodgeFiltration unless the field has a conjugation, the steps
-    have the filtration profile and form a flag (flags.FlagPoint), and
-    every piece has dimension h^{p,q} with the pieces together spanning.
+    NotAHodgeFiltration unless the flag has no parameters, its base
+    field has a conjugation, the steps have the filtration profile of
+    numbers in an ambient space of the total dimension, and every piece
+    has dimension h^{p,q} with the pieces together spanning.
     """
 
-    __slots__ = ("field", "numbers", "steps", "decomposition")
+    __slots__ = ("flag", "field", "numbers", "decomposition")
 
-    def __init__(self, field, numbers: HodgeNumbers, steps: tuple):
+    def __init__(self, flag, numbers: HodgeNumbers):
+        if flag.params:
+            raise NotAHodgeFiltration(f"the flag has free parameters {', '.join(flag.params)}")
+        field = flag.field.base
         if not field.has_conjugation:
-            raise NotAHodgeFiltration(
-                "the coefficient field carries no conjugation automorphism"
-            )
-        steps = tuple(sorted(steps, key=lambda step: step[0], reverse=True))
+            raise NotAHodgeFiltration("the coefficient field carries no conjugation automorphism")
         try:
-            d = check_profile(numbers, steps)
-            FlagPoint(FunctionField(field, ()), d, steps)
+            d = check_profile(numbers, flag.steps)
         except ValueError as exc:
             raise NotAHodgeFiltration(str(exc)) from None
+        if flag.ambient_dim != d:
+            raise NotAHodgeFiltration(
+                f"the flag lies in dimension {flag.ambient_dim}, the Hodge numbers total {d}")
+        self.flag = flag
         self.field = field
         self.numbers = numbers
-        self.steps = steps
         matrices = {
-            p: ExactMatrix.from_columns(field, [tuple(field.coerce(x) for x in v) for v in vectors])
-            for p, vectors in steps
+            p: ExactMatrix.from_columns(field, [tuple(x.eval(()) for x in v) for v in vectors])
+            for p, vectors in flag.steps
         }
         # Every p and q of a type is a jump, since h(p,q) = h(q,p); the one
         # jump not in matrices is the lowest, where F^p is the whole space.
@@ -320,7 +323,7 @@ def _rational_sqrt(value: Fraction):
 def _hermitian_witness(field, delta, parity, sign):
     """The real value i^(p-q) * delta as a Fraction when it is rational."""
     if isinstance(field, RationalField):
-        return delta if parity % 2 == 0 else None
+        return delta  # parity 0: see polarization_check
     square = delta * delta
     coords = square.coords
     if any(c != 0 for c in coords[1:]):
@@ -382,9 +385,11 @@ def polarization_check(structure: RealizedHodgeStructure, form: PolarizationForm
             deltas.append(delta)
         for delta in deltas:
             if isinstance(field, RationalField):
-                # Rational scalars: delta is a rational number, weight even.
-                value = delta if parity == 0 else -delta
-                sign = 1 if value > 0 else -1
+                # Over Q conj is the identity, so H^{p,q} = F^p cap F^q =
+                # H^{q,p}; two equal nonzero pieces cannot span, so every
+                # type of a realized Q-structure has p = q, parity 0, and
+                # i^(p-q) delta is the rational delta itself.
+                sign = 1 if delta > 0 else -1
             else:
                 check = field.conj(delta)
                 expected = delta if n % 2 == 0 else -delta

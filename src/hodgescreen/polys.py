@@ -160,7 +160,10 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted((e, repr(c)) for e, c in self.terms.items()))))
+        # == coerces scalars to constants, so a constant hashes as its scalar
+        if self.is_constant():
+            return hash(next(iter(self.terms.values()), 0))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     # -- calculus and evaluation -----------------------------------------------
 

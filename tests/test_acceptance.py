@@ -198,9 +198,8 @@ def test_criterion_10_polarization_triple():
     from hodgescreen import HodgeNumbers
 
     elliptic = RealizedHodgeStructure(
-        field=qi,
-        numbers=HodgeNumbers(1, {(1, 0): 1, (0, 1): 1}),
-        steps=((1, ((qi.one(), i),)),),
+        FlagPoint(FunctionField(qi, ()), 2, ((1, ((qi.one(), i),)),)),
+        HodgeNumbers(1, {(1, 0): 1, (0, 1): 1}),
     )
     standard = PolarizationForm(1, ((0, 1), (-1, 0)))
     assert polarization_check(elliptic, standard).status == "valid"

@@ -6,6 +6,10 @@ import re
 import subprocess
 import sys
 
+import pytest
+
+from hodgescreen.cli import main
+from hodgescreen.flags import FlagPoint
 from hodgescreen.hodge import SYM_WORK_BOUND
 
 from support import ENV, ROOT
@@ -37,6 +41,23 @@ def test_screen_exit_codes_for_every_shipped_spec():
         proc = run("screen", str(SPECS / name))
         assert proc.returncode == code, (name, proc.stdout, proc.stderr)
         assert proc.stdout.strip().endswith(f"exit code {code}")
+
+
+@pytest.mark.parametrize("name", ["torus-cm.json", "elliptic-gsp2.json"])
+def test_screen_realizes_the_polarized_structure_on_the_spec_flag(name, monkeypatch, capsys):
+    """The polarization check is built on the FlagPoint that the spec
+    reader checked, so one screen builds exactly one flag."""
+    built = []
+    init = FlagPoint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlagPoint, "__init__", counting)
+    assert main(["screen", "--json", str(SPECS / name)]) == 0
+    assert json.loads(capsys.readouterr().out)["polarization"]["status"] == "valid"
+    assert len(built) == 1
 
 
 def test_rejections_always_name_their_hypotheses():

@@ -261,6 +261,14 @@ def test_element_hash_respects_equality():
     assert len({i, i, K.gen()}) == 1
 
 
+def test_a_rational_element_hashes_as_its_rational():
+    K = gaussian_field()
+    three = K.coerce(3)
+    assert three == 3 == Fraction(3)
+    assert len({three, 3}) == 1 and len({three, Fraction(3)}) == 1
+    assert len({K.zero(), 0}) == 1
+
+
 def test_sign_budget_failure_is_reported():
     # sign of an exact zero times a unit decays to zero coords, so force
     # the slow path with a tiny but nonzero difference instead

@@ -10,6 +10,8 @@ import pytest
 
 from hodgescreen import (
     ExactMatrix,
+    FlagPoint,
+    FunctionField,
     HodgeNumbers,
     NotAHodgeFiltration,
     NumberField,
@@ -159,10 +161,17 @@ def test_filtration_dims_accumulate():
     assert filtration_dims(ELLIPTIC) == [(1, 1), (0, 2)]
 
 
+def constant_flag(field, d, steps):
+    """The parameter-free FlagPoint over field with these steps."""
+    return FlagPoint(FunctionField(field, ()), d, steps)
+
+
+def realize(field, numbers, steps):
+    return RealizedHodgeStructure(constant_flag(field, numbers.total_dim(), steps), numbers)
+
+
 def elliptic_structure(field, vector):
-    return RealizedHodgeStructure(
-        field=field, numbers=ELLIPTIC, steps=((1, (vector,)),)
-    )
+    return realize(field, ELLIPTIC, ((1, (vector,)),))
 
 
 def test_realize_the_square_lattice():
@@ -190,28 +199,59 @@ def test_realization_requires_a_conjugation():
         elliptic_structure(cbrt2, (cbrt2.one(), cbrt2.gen()))
 
 
+def test_realization_needs_a_constant_flag_of_the_total_dimension():
+    qi = gaussian_field()
+    i = qi.gen()
+    moving = FlagPoint(FunctionField(qi, ("t",)), 2, ((1, ((qi.one(), i),)),))
+    with pytest.raises(NotAHodgeFiltration, match="free parameters t"):
+        RealizedHodgeStructure(moving, ELLIPTIC)
+    wide = constant_flag(qi, 3, ((1, ((qi.one(), i, qi.zero()),)),))
+    with pytest.raises(NotAHodgeFiltration, match="dimension 3, the Hodge numbers total 2"):
+        RealizedHodgeStructure(wide, ELLIPTIC)
+
+
+def test_a_rational_structure_has_only_types_p_equals_q():
+    """Over Q conjugation is the identity, so H^{1,0} = F^1 = H^{0,1} and
+    the two pieces cannot span: every weight-one flag over Q is refused,
+    which is what lets polarization over Q assume parity 0."""
+    rng = random.Random(20261020)
+    refused = 0
+    for _ in range(30):
+        g = rng.randint(1, 2)
+        numbers = HodgeNumbers(1, {(1, 0): g, (0, 1): g})
+        top = tuple(tuple(rng.randint(-3, 3) for _ in range(2 * g)) for _ in range(g))
+        try:
+            flag = constant_flag(QQ, 2 * g, ((1, top),))
+        except ValueError:  # a dependent draw
+            continue
+        with pytest.raises(NotAHodgeFiltration, match="do not span"):
+            RealizedHodgeStructure(flag, numbers)
+        refused += 1
+    assert refused >= 20
+
+
 def test_realization_step_bookkeeping():
     qi = gaussian_field()
     i = qi.gen()
     with pytest.raises(NotAHodgeFiltration, match="filtration profile"):
-        RealizedHodgeStructure(qi, ELLIPTIC, steps=((2, ((qi.one(), i),)),))
+        realize(qi, ELLIPTIC, ((2, ((qi.one(), i),)),))
     with pytest.raises(NotAHodgeFiltration, match="filtration profile"):
-        RealizedHodgeStructure(
-            qi, ELLIPTIC, steps=((1, ((qi.one(), i), (i, qi.one()))),)
-        )
-    with pytest.raises(NotAHodgeFiltration, match="length"):
-        RealizedHodgeStructure(qi, ELLIPTIC, steps=((1, ((qi.one(),),)),))
+        realize(qi, ELLIPTIC, ((1, ((qi.one(), i), (i, qi.one()))),))
+    # the FlagPoint that a structure is realized on refuses a short vector
+    with pytest.raises(ValueError, match="length"):
+        realize(qi, ELLIPTIC, ((1, ((qi.one(),),)),))
 
 
 def test_nesting_is_enforced():
     qi = gaussian_field()
     i = qi.gen()
     numbers = HodgeNumbers(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    with pytest.raises(NotAHodgeFiltration, match="not contained"):
-        RealizedHodgeStructure(
+    # the FlagPoint that a structure is realized on refuses the chain
+    with pytest.raises(ValueError, match="not contained"):
+        realize(
             qi,
             numbers,
-            steps=(
+            (
                 (2, ((qi.one(), i, qi.zero(), qi.zero()),)),
                 (1, (
                     (qi.zero(), qi.one(), qi.zero(), qi.zero()),
@@ -242,7 +282,7 @@ def test_random_weight_two_pieces_are_conj_symmetric_and_span():
                                          for _ in range(b))))
         numbers = HodgeNumbers(2, {(2, 0): a, (1, 1): b, (0, 2): a})
         try:
-            structure = RealizedHodgeStructure(qi, numbers, tuple(steps))
+            structure = realize(qi, numbers, tuple(steps))
         except NotAHodgeFiltration:
             continue
         built += 1
@@ -263,8 +303,7 @@ def weight_two_structure():
     one, zero, i = qi.one(), qi.zero(), qi.gen()
     numbers = HodgeNumbers(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     top = (one, i, zero)
-    return qi, RealizedHodgeStructure(
-        qi, numbers, steps=((2, (top,)), (1, (top, (zero, zero, one)))))
+    return qi, realize(qi, numbers, ((2, (top,)), (1, (top, (zero, zero, one)))))
 
 
 def test_weight_two_pieces_come_from_the_intersection():
@@ -299,8 +338,7 @@ def test_gram_schmidt_over_a_two_dimensional_piece():
     qi = gaussian_field()
     one, zero, i = qi.one(), qi.zero(), qi.gen()
     numbers = HodgeNumbers(1, {(1, 0): 2, (0, 1): 2})
-    structure = RealizedHodgeStructure(
-        qi, numbers, steps=((1, ((one, i, zero, zero), (one, i, one, i))),))
+    structure = realize(qi, numbers, ((1, ((one, i, zero, zero), (one, i, one, i))),))
     pairing = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
     assert polarization_check(structure, PolarizationForm(1, pairing)).status == "valid"
     mixed = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
@@ -313,7 +351,7 @@ def test_gram_schmidt_over_a_two_dimensional_piece():
 def test_rational_polarization_of_a_single_type():
     """Over Q with one type (0, 0) every piece is the whole space and the
     hermitian form is S itself."""
-    structure = RealizedHodgeStructure(QQ, HodgeNumbers(0, {(0, 0): 2}), steps=())
+    structure = realize(QQ, HodgeNumbers(0, {(0, 0): 2}), ())
     assert structure.decomposition == {
         (0, 0): ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
     assert polarization_check(structure, PolarizationForm(0, ((2, 1), (1, 1)))).status == "valid"
@@ -350,7 +388,7 @@ def test_weight_two_positivity_convention():
     qi = gaussian_field()
     i = qi.gen()
     numbers = HodgeNumbers(2, {(2, 0): 1, (0, 2): 1})
-    structure = RealizedHodgeStructure(qi, numbers, steps=((2, ((qi.one(), i),)),))
+    structure = realize(qi, numbers, ((2, ((qi.one(), i),)),))
     # i^(2-0) = -1 flips the sign requirement on H^{2,0}
     assert polarization_check(structure, PolarizationForm(2, ((-1, 0), (0, -1)))).status == "valid"
     plus = polarization_check(structure, PolarizationForm(2, ((1, 0), (0, 1))))
@@ -363,11 +401,7 @@ def test_morphism_condition_checked_before_positivity():
     i = qi.gen()
     one, zero = qi.one(), qi.zero()
     numbers = HodgeNumbers(1, {(1, 0): 2, (0, 1): 2})
-    structure = RealizedHodgeStructure(
-        qi,
-        numbers,
-        steps=((1, ((one, i, zero, zero), (zero, zero, one, i))),),
-    )
+    structure = realize(qi, numbers, ((1, ((one, i, zero, zero), (zero, zero, one, i))),))
     pairs_inside_f1 = PolarizationForm(
         1,
         ((0, 0, 1, 0), (0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0)),

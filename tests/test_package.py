@@ -55,6 +55,12 @@ def test_grading_and_flags_load_no_spec_hodge_or_number_field_layer():
                          "irreducible", "cli", "rendering"}
 
 
+def test_the_hodge_layer_loads_no_flag_or_function_field_layer():
+    loaded = package_modules_after("import hodgescreen.hodge")
+    assert "hodge" in loaded
+    assert not loaded & {"flags", "ratfunc"}
+
+
 def test_irreducible_loads_no_other_module_and_intervals_only_it():
     # fields loads both lazily, so neither may pull in another layer.
     assert package_modules_after("import hodgescreen.irreducible") == {"irreducible"}

@@ -53,6 +53,17 @@ def test_polynomial_ring_axioms(a, b, c):
     assert a + (-a) == RING.zero()
 
 
+def test_equal_polynomials_hash_equal():
+    """An integer and its Fraction are equal coefficients, and a constant
+    equals its scalar, so each pair hashes alike whatever the term order."""
+    a = Poly(RING, {(1, 0): 3, (0, 2): Fraction(1, 2)})
+    b = Poly(RING, {(0, 2): Fraction(1, 2), (1, 0): Fraction(3)})
+    assert a == b and len({a, b}) == 1
+    three = RING.const(3)
+    assert three == 3 and len({three, 3, Fraction(3)}) == 1
+    assert RING.zero() == 0 and len({RING.zero(), 0}) == 1
+
+
 @seed(20261022)
 @SMALL
 @given(small_ratfuncs, small_ratfuncs, small_ratfuncs)
