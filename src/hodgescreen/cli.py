@@ -16,6 +16,7 @@ import sys
 
 from . import rendering as rp
 from .errors import MathDomainError, SpecValidationError
+from .fields import parse_integer
 from .flags import TrdegResult, trdeg
 from .grading import report as grade_report
 from .hodge import (
@@ -177,7 +178,7 @@ def cmd_hodge(args) -> int:
     k = None
     if nints:
         try:
-            k = int(operands[nfiles])
+            k = parse_integer(operands[nfiles])
         except ValueError:
             raise SpecValidationError(
                 f"hodge {args.op}: last argument must be an integer, "

@@ -19,12 +19,12 @@ dimension profile alone:
     Shimura type              all levels within {-1, 0, 1}.
 
 Their difference is the dimension of the k = -1 level, an identity the
-verdict engine re-checks on every run.  Everything here is a rank
-computation over Q.  ad diag(lambda) multiplies the matrix unit E_ij by
-the weight difference lambda_i - lambda_j, so an algebra normalized by
-diag(lambda) is the direct sum of its intersections with these weight
-spaces, and dim g_k is the rank of the basis entries at the positions of
-weight k: one small rank per weight that occurs.
+verdict engine re-checks on every run.  ad diag(lambda) multiplies the
+matrix unit E_ij by the weight difference lambda_i - lambda_j, so an
+algebra normalized by diag(lambda) is the direct sum of its intersections
+with these weight spaces, and dim g_k is the number of pivots (i, j) of
+weight k in the algebra's echelon basis (lie.adjoint_of_diagonal has the
+proof).  Grading builds no matrix and runs no elimination.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import NamedTuple
 from .errors import IncompleteGrading
 from .fields import parse_integer
 from .lie import MatLieAlgebra, adjoint_of_diagonal
+# rank is unused here; perfbench/spans.py patches grading.rank
 from .linalg import rank
 
 
@@ -98,8 +99,7 @@ def grade(algebra: MatLieAlgebra, mu: HodgeCocharacter) -> CocharGrading:
 
     Raises NormalizationError when diag(lambda) does not normalize the
     algebra."""
-    blocks = adjoint_of_diagonal(algebra, mu.weights)
-    return CocharGrading(algebra.dim, {k: rank(block) for k, block in blocks.items()})
+    return CocharGrading(algebra.dim, adjoint_of_diagonal(algebra, mu.weights))
 
 
 def flag_dimension(grading: CocharGrading) -> int:

@@ -24,17 +24,19 @@ lambda_i - lambda_j.  Each bracket [diag(lambda), b_l] is tested for
 exact span membership; one falling outside the span raises
 NormalizationError, which is the precise meaning of "lambda is not a
 cocharacter of this group".  Past that check the algebra splits along
-the same weight spaces, and adjoint_of_diagonal hands back the basis
-entries of each occurring weight as one block.
+the same weight spaces, and adjoint_of_diagonal counts dim g_k as the
+pivots of weight k in the echelon basis that construction already keeps:
+no matrix is built and no rank is taken.
 
 Each basis element is stored once, as a sparse {(i, j): Fraction} matrix,
 because classical bases have one or two nonzero entries per element:
-closure checking, membership and the weight blocks all run on that form.
+closure checking, membership and the grading all run on that form.
 The dense ExactMatrix view of a basis is built only when asked for.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import BracketClosureError, NormalizationError
@@ -277,37 +279,32 @@ def direct_sum(a: MatLieAlgebra, b: MatLieAlgebra) -> MatLieAlgebra:
 
 
 def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> dict:
-    """Weight blocks {k: ExactMatrix} of the algebra under ad(diag(lambda)),
-    or NormalizationError when diag(lambda) does not normalize it.
-
-    Block k has one column per position (i, j) with lambda_i - lambda_j = k
-    that the basis occupies, and one row per basis element occupying such
-    a position, holding its entries there.  Once diag(lambda) normalizes
-    the algebra, its projection onto these positions equals its
-    intersection with them, so the rank of block k is dim g_k.
+    """Levels {k: dim g_k} of the algebra under ad(diag(lambda)), by k
+    ascending, or NormalizationError when diag(lambda) does not normalize
+    it.  dim g_k counts the echelon pivots (i, j) with
+    lambda_i - lambda_j = k:
+    - Each reducer row's pivot is its least key, and each row is zero at
+      the pivots of the rows inserted before it.  So the pivots are
+      distinct, a nonzero combination of rows has as least key the least
+      pivot taking part, and the pivot set is the set of least keys of
+      the span's nonzero elements.
+    - A normalized algebra is the direct sum of its intersections g_k
+      with the weight spaces.  These have disjoint supports, so the least
+      keys split by weight, and weight k holds dim g_k of them.
     """
     weights = tuple(parse_rational(x) for x in lam)
     if len(weights) != algebra.ambient_dim:
         raise ValueError(
             f"lambda has length {len(weights)}, ambient dimension is {algebra.ambient_dim}"
         )
-    parts_by_weight = {}
     for idx, sp in enumerate(algebra._sparse):
         bracket = {}
-        parts = {}
         for (i, j), v in sp.items():
             w = weights[i] - weights[j]
-            parts.setdefault(w, {})[(i, j)] = v
             if w != 0:
                 bracket[(i, j)] = w * v
         residual, _ = algebra._reducer.reduce(bracket)
         if residual:
             raise NormalizationError(idx)
-        for w, part in parts.items():
-            parts_by_weight.setdefault(w, []).append(part)
-    zero = Fraction(0)
-    blocks = {}
-    for k, rows in sorted(parts_by_weight.items()):
-        cols = sorted(set().union(*rows))
-        blocks[k] = ExactMatrix(QQ, [[row.get(p, zero) for p in cols] for row in rows])
-    return blocks
+    levels = Counter(weights[i] - weights[j] for (i, j), _, _ in algebra._reducer.rows)
+    return dict(sorted(levels.items()))

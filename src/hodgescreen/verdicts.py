@@ -35,12 +35,10 @@ from .errors import IdentityViolation
 from .grading import InvariantReport
 
 MOTIVATED = "hodge-cycles-motivated"
-GPC = "grothendieck-period-conjecture"
 GGPC = "generalized-grothendieck-period-conjecture"
 
 _LABEL_TEXT = {
     MOTIVATED: "Hodge cycles are motivated",
-    GPC: "the Grothendieck period conjecture",
     GGPC: "the generalized Grothendieck period conjecture",
 }
 
@@ -49,7 +47,8 @@ KINDS = ("not_from_geometry", "consistent", "shimura_violation",
 
 
 class ConjectureSet(NamedTuple):
-    """Explicit toggles for the conditional hypotheses."""
+    """Explicit toggles for the conditional hypotheses; gpc is recorded
+    and echoed, but no verdict depends on it."""
 
     motivated: bool
     gpc: bool

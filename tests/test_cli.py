@@ -297,6 +297,21 @@ def test_hodge_arity_errors():
     assert proc.returncode == 0  # negative twists are fine
 
 
+def test_the_hodge_integer_is_read_as_spec_documents_read_one(capsys):
+    spec = str(SPECS / "gsp4-cy.json")
+    assert main(["hodge", "wedge", spec, "2"]) == 0
+    wedge2 = capsys.readouterr().out
+    for same in ("+2", "4/2"):
+        assert main(["hodge", "wedge", spec, same]) == 0
+        assert capsys.readouterr().out == wedge2.replace(f"{spec} 2", f"{spec} {same}")
+    for refused in ("1_0", "\u0662", "2.0", "1/0"):
+        assert main(["hodge", "wedge", spec, refused]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("spec error: hodge wedge: last argument must be an "
+                                f"integer, got {refused!r}\n")
+
+
 def test_polarization_is_reported_for_the_cm_spec():
     proc = run("screen", "--json", str(SPECS / "torus-cm.json"))
     assert proc.returncode == 0

@@ -7,14 +7,18 @@ re-derive them on every run.
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from hodgescreen import (
+    QQ,
     CocharGrading,
     HodgeCocharacter,
     HodgeNumbers,
     IncompleteGrading,
+    MatLieAlgebra,
+    NormalizationError,
     flag_dimension,
     grade,
     hcodim,
@@ -22,6 +26,7 @@ from hodgescreen import (
     make_classical,
     report,
 )
+from hodgescreen import linalg
 
 from support import oracle_levels, random_classical_instance
 
@@ -72,6 +77,62 @@ def test_levels_match_eigenvalue_oracle_on_random_instances():
         alg, lam = random_classical_instance(rng, max_ambient=6)
         grading = grade(alg, HodgeCocharacter(lam))
         assert dict(grading.sorted_levels()) == oracle_levels(alg, lam)
+
+
+def _mixed_basis(alg, rng):
+    """alg on its basis permuted, then changed by a random rational
+    unit-triangular matrix, so that one element spans several weights."""
+    basis = list(alg.basis)
+    rng.shuffle(basis)
+    mixed = []
+    for l, b in enumerate(basis):
+        for earlier in basis[:l]:
+            b = b + earlier * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        mixed.append(b)
+    return MatLieAlgebra(alg.ambient_dim, mixed)
+
+
+def test_levels_match_eigenvalue_oracle_on_mixed_bases():
+    rng = random.Random(4242)
+    spread = 0
+    for _ in range(24):
+        alg, lam = random_classical_instance(rng, max_ambient=6)
+        mixed = _mixed_basis(alg, rng)
+        weights_of = [{lam[i] - lam[j] for i, row in enumerate(b.rows)
+                       for j, v in enumerate(row) if v} for b in mixed.basis]
+        spread = max(spread, *map(len, weights_of))
+        levels = dict(grade(mixed, HodgeCocharacter(lam)).sorted_levels())
+        assert levels == oracle_levels(mixed, lam)
+    assert spread >= 3
+
+
+def test_a_mixed_basis_still_refuses_a_non_normalizing_lambda():
+    mixed = _mixed_basis(make_classical("so", 4), random.Random(5))
+    with pytest.raises(NormalizationError) as err:
+        grade(mixed, HodgeCocharacter((5, 1, 0, 0)))
+    assert err.value.index in range(mixed.dim)
+
+
+def test_grading_builds_no_matrix_and_runs_no_elimination(monkeypatch):
+    algebras = [make_classical(kind, 6) for kind in ("gl", "sl", "go", "gsp")]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    eliminate, init = linalg._eliminate, linalg.ExactMatrix.__init__
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg.ExactMatrix, "__init__", counting_init)
+    for alg in algebras:
+        report(alg, HodgeCocharacter((3, 2, 2, 1, 1, 0)))
+    assert calls == []
+    linalg.rank(linalg.ExactMatrix(QQ, [[1]]))
+    assert len(calls) == 2  # the wrappers do see linalg's own calls
 
 
 def test_grading_exhausts_the_algebra_and_shifts_centrally():

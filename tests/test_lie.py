@@ -152,8 +152,7 @@ def test_normalizer_violation_is_reported_with_index():
 
 def test_torus_normalizes_everything_diagonal():
     alg = make_classical("diag_torus", 4)
-    blocks = adjoint_of_diagonal(alg, (9, -3, 0, 7))
-    assert list(blocks) == [0]
+    assert adjoint_of_diagonal(alg, (9, -3, 0, 7)) == {0: 4}
 
 
 def test_direct_sum_embeds_blocks_and_brackets():
