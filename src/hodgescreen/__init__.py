@@ -21,19 +21,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "BracketClosureError", "DenominatorVanishes", "HodgescreenError",
-        "IdentityViolation", "IncompleteGrading", "MathDomainError",
-        "NormalizationError", "NotAHodgeFiltration", "PrecisionExhausted",
-        "SpecValidationError",
+        "IdentityViolation", "MathDomainError", "NormalizationError",
+        "NotAHodgeFiltration", "PrecisionExhausted", "SpecValidationError",
     ),
     "fields": ("NumberField", "QQ", "gaussian_field"),
     "flags": (
         "FlagPoint", "TrdegResult", "jacobian_matrix", "normalize_chart",
         "trdeg",
     ),
-    "grading": (
-        "CocharGrading", "HodgeCocharacter", "InvariantReport",
-        "flag_dimension", "grade", "hcodim", "is_shimura_type", "report",
-    ),
+    "grading": ("HodgeCocharacter", "InvariantReport", "grade", "report"),
     "hodge": (
         "HodgeNumbers", "PolarizationForm", "PolarizationResult",
         "RealizedHodgeStructure", "dual", "filtration_dims",

@@ -31,11 +31,6 @@ class NormalizationError(MathDomainError):
         super().__init__(message or f"[diag(lambda), basis[{index}]] is not in the algebra")
 
 
-class IncompleteGrading(MathDomainError):
-    """The level dimensions handed to CocharGrading do not sum to the
-    dimension of the algebra, so they are not the profile of a grading."""
-
-
 class BracketClosureError(MathDomainError):
     """A claimed Lie algebra basis is not closed under the commutator."""
 

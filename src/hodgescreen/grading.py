@@ -6,17 +6,19 @@ basis, entry p on a vector of type (p, q).  Acting on the declared group
 G through the adjoint representation, diag(lambda) grades the Lie
 algebra by integer eigenvalues
 
-    g = (+) g_k,   g_k = ker(ad diag(lambda) - k),
+    g = (+) g_k,   g_k = ker(ad diag(lambda) - k).
 
-and three invariants of the underlying Hodge structure fall out of the
-dimension profile alone:
+grade returns the levels as one dict {k: dim g_k}, by k ascending with
+the zero levels left out, and report reads every invariant of the
+underlying Hodge structure straight off that dict:
 
     flag dimension            sum of levels k < 0
                               (the G-flag variety through the filtration),
     horizontal codimension    sum of levels k <= -2
                               (how far Griffiths transversality is from
                               being vacuous),
-    Shimura type              all levels within {-1, 0, 1}.
+    Shimura type              all levels within {-1, 0, 1},
+    symmetric grading         dim g_(-k) = dim g_k for every k.
 
 Their difference is the dimension of the k = -1 level, an identity the
 verdict engine re-checks on every run.  ad diag(lambda) multiplies the
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import IncompleteGrading
 from .fields import parse_integer
 from .lie import MatLieAlgebra, adjoint_of_diagonal
 # rank is unused here; perfbench/spans.py patches grading.rank
@@ -66,56 +67,13 @@ class HodgeCocharacter:
         return HodgeCocharacter(tuple(w + c for w in self.weights))
 
 
-class CocharGrading:
-    """Dimension profile {k: dim g_k} of the adjoint grading."""
-
-    __slots__ = ("algebra_dim", "levels")
-
-    def __init__(self, algebra_dim: int, levels: dict | None = None):
-        levels = {parse_integer(k): parse_integer(d) for k, d in (levels or {}).items()}
-        levels = {k: d for k, d in levels.items() if d != 0}
-        if any(d < 0 for d in levels.values()):
-            raise ValueError("negative level dimension")
-        self.algebra_dim = algebra_dim
-        self.levels = levels
-        if sum(levels.values()) != algebra_dim:
-            raise IncompleteGrading(
-                f"levels sum to {sum(levels.values())}, algebra dimension is "
-                f"{algebra_dim}"
-            )
-
-    def level(self, k: int) -> int:
-        return self.levels.get(k, 0)
-
-    def sorted_levels(self):
-        return sorted(self.levels.items())
-
-    def is_symmetric(self) -> bool:
-        return all(self.level(-k) == d for k, d in self.levels.items())
-
-
-def grade(algebra: MatLieAlgebra, mu: HodgeCocharacter) -> CocharGrading:
-    """Adjoint grading of the algebra by the cocharacter.
+def grade(algebra: MatLieAlgebra, mu: HodgeCocharacter) -> dict:
+    """Levels {k: dim g_k} of the adjoint grading by the cocharacter, by k
+    ascending, zero levels left out.
 
     Raises NormalizationError when diag(lambda) does not normalize the
     algebra."""
-    return CocharGrading(algebra.dim, adjoint_of_diagonal(algebra, mu.weights))
-
-
-def flag_dimension(grading: CocharGrading) -> int:
-    """Dimension of the flag variety G/F^0: total size of the negative levels."""
-    return sum(d for k, d in grading.levels.items() if k < 0)
-
-
-def hcodim(grading: CocharGrading) -> int:
-    """Codimension of the horizontal (Griffiths) distribution: levels k <= -2."""
-    return sum(d for k, d in grading.levels.items() if k <= -2)
-
-
-def is_shimura_type(grading: CocharGrading) -> bool:
-    """True exactly when every level sits in {-1, 0, 1}, i.e. the
-    horizontal codimension vanishes."""
-    return all(k in (-1, 0, 1) for k in grading.levels)
+    return adjoint_of_diagonal(algebra, mu.weights)
 
 
 class InvariantReport(NamedTuple):
@@ -131,14 +89,14 @@ class InvariantReport(NamedTuple):
 
 
 def report(algebra: MatLieAlgebra, mu: HodgeCocharacter) -> InvariantReport:
-    """Grade and summarize in one call."""
-    grading = grade(algebra, mu)
+    """Grade and read every invariant off the levels."""
+    levels = grade(algebra, mu)
     return InvariantReport(
-        dim_g=grading.algebra_dim,
-        flag_dim=flag_dimension(grading),
-        hcodim=hcodim(grading),
-        g_minus_one_dim=grading.level(-1),
-        shimura_type=is_shimura_type(grading),
-        symmetric_grading=grading.is_symmetric(),
-        levels=tuple(grading.sorted_levels()),
+        dim_g=algebra.dim,
+        flag_dim=sum(d for k, d in levels.items() if k < 0),
+        hcodim=sum(d for k, d in levels.items() if k <= -2),
+        g_minus_one_dim=levels.get(-1, 0),
+        shimura_type=all(k in (-1, 0, 1) for k in levels),
+        symmetric_grading=all(levels.get(-k) == d for k, d in levels.items()),
+        levels=tuple(levels.items()),
     )

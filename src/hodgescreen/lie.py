@@ -17,11 +17,12 @@ antidiagonal ones (+1 antidiagonal for the orthogonal family, +1/-1 split
 for the symplectic family), which make diagonal cocharacters with
 mirror-symmetric weights land in the normalizer.
 
-The adjoint action of diag(lambda) needs no matrix products at all:
+The adjoint action of diag(lambda), for an integer vector lambda, needs
+no matrix products at all:
 [diag(lambda), X]_{ij} = (lambda_i - lambda_j) X_{ij}, so gl_N splits
 into weight spaces spanned by the E_ij sharing one difference
-lambda_i - lambda_j.  Each bracket [diag(lambda), b_l] is tested for
-exact span membership; one falling outside the span raises
+lambda_i - lambda_j.  Each bracket [diag(lambda), b_l] is reduced
+against the echelon basis; one leaving a residual raises
 NormalizationError, which is the precise meaning of "lambda is not a
 cocharacter of this group".  Past that check the algebra splits along
 the same weight spaces, and adjoint_of_diagonal counts dim g_k as the
@@ -40,7 +41,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import BracketClosureError, NormalizationError
-from .fields import QQ, parse_rational
+from .fields import QQ, parse_integer, parse_rational
 from .linalg import ExactMatrix, kernel_basis
 
 CLASSICAL_KINDS = ("gl", "sl", "so", "sp", "gsp", "go", "diag_torus")
@@ -90,18 +91,18 @@ def bracket_matrices(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 class _SpanReducer:
-    """Incremental echelon form over Q for sparse matrix-shaped vectors,
-    with bookkeeping so membership also yields coordinates in the
-    original generating set."""
+    """Incremental echelon form over Q for sparse matrix-shaped vectors:
+    each row is 1 at its pivot, its least key, and zero at the pivots of
+    the rows before it."""
 
     def __init__(self):
-        self.rows = []  # (pivot_key, row_dict, shadow_dict), insertion order
+        self.rows = []  # (pivot_key, row_dict), insertion order
 
-    def reduce(self, vec: dict):
-        """Return (residual, coords) with vec = residual + sum coords[l] * gen_l."""
+    def reduce(self, vec: dict) -> dict:
+        """The residual of vec against the rows: empty exactly when vec
+        lies in their span."""
         v = dict(vec)
-        coords = {}
-        for pivot, row, shadow in self.rows:
+        for pivot, row in self.rows:
             c = v.get(pivot)
             if not c:
                 continue
@@ -111,44 +112,36 @@ class _SpanReducer:
                     v.pop(key, None)
                 else:
                     v[key] = s
-            for l, sv in shadow.items():
-                s = coords.get(l, 0) + c * sv
-                if s == 0:
-                    coords.pop(l, None)
-                else:
-                    coords[l] = s
-        return v, coords
+        return v
 
-    def insert(self, index: int, vec: dict) -> bool:
-        """Insert generator number `index`; False when it is dependent."""
-        residual, coords = self.reduce(vec)
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; False when it already lies in it."""
+        residual = self.reduce(vec)
         if not residual:
             return False
         pivot = min(residual)
         pv = residual[pivot]
-        row = {k: v / pv for k, v in residual.items()}
-        shadow = {l: -v / pv for l, v in coords.items()}
-        shadow[index] = shadow.get(index, 0) + 1 / pv
-        self.rows.append((pivot, row, shadow))
+        self.rows.append((pivot, {k: v / pv for k, v in residual.items()}))
         return True
 
 
 class MatLieAlgebra:
     """A Lie algebra given by an explicit matrix basis over Q.
 
-    A basis element is an n x n ExactMatrix over QQ, its rows, or a
-    {(i, j): value} dict with every key inside n x n.  Every entry goes
+    The ambient dimension n is read with parse_integer (no float or
+    bool).  A basis element is an n x n ExactMatrix over QQ, its rows, or
+    a {(i, j): value} dict with every key inside n x n.  Every entry goes
     once through parse_rational, zeros are dropped, and only this sparse
     form is kept: `basis` builds dense ExactMatrix objects on each access.
     """
 
     def __init__(self, ambient_dim: int, basis, name: str = "user"):
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = parse_integer(ambient_dim)
         self.name = name
         self._sparse = [_entries(b, self.ambient_dim) for b in basis]
         self._reducer = _SpanReducer()
         for idx, sp in enumerate(self._sparse):
-            if not self._reducer.insert(idx, sp):
+            if not self._reducer.insert(sp):
                 raise ValueError(f"basis is linearly dependent (element {idx})")
         self._verify_closure()
 
@@ -174,19 +167,13 @@ class MatLieAlgebra:
                         ba[key] = s
                 if not ba:
                     continue
-                residual, _ = self._reducer.reduce(ba)
-                if residual:
+                if self._reducer.reduce(ba):
                     raise BracketClosureError(i, j)
 
-    def coordinates(self, m):
-        """Coordinates of a matrix in this basis, or None when outside."""
-        residual, coords = self._reducer.reduce(_entries(m, self.ambient_dim))
-        if residual:
-            return None
-        return tuple(coords.get(l, Fraction(0)) for l in range(self.dim))
-
     def contains(self, m) -> bool:
-        return self.coordinates(m) is not None
+        """Whether the matrix m (in any form a basis element takes) lies
+        in the algebra."""
+        return not self._reducer.reduce(_entries(m, self.ambient_dim))
 
     def __repr__(self):
         return f"MatLieAlgebra({self.name}, ambient={self.ambient_dim}, dim={self.dim})"
@@ -217,14 +204,15 @@ def make_classical(kind: str, n: int, form=None) -> MatLieAlgebra:
     """Construct a classical algebra inside gl_n.
 
     INPUT: kind in gl / sl / so / sp / gsp / go / diag_torus; ambient
-    dimension n; optional bilinear form for the four form-preserving
-    kinds (defaults to the antidiagonal ones).
+    dimension n, an integer; optional bilinear form for the four
+    form-preserving kinds (defaults to the antidiagonal ones).
 
     OUTPUT: the full solution space of the defining linear conditions,
     with scalars appended for the similitude kinds.
     """
     if kind not in CLASSICAL_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {CLASSICAL_KINDS}")
+    n = parse_integer(n)
     if n < 1:
         raise ValueError("ambient dimension must be positive")
     if kind in ("gl", "sl", "diag_torus"):
@@ -281,7 +269,8 @@ def direct_sum(a: MatLieAlgebra, b: MatLieAlgebra) -> MatLieAlgebra:
 def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> dict:
     """Levels {k: dim g_k} of the algebra under ad(diag(lambda)), by k
     ascending, or NormalizationError when diag(lambda) does not normalize
-    it.  dim g_k counts the echelon pivots (i, j) with
+    it.  The weights are read with parse_integer, so every k is an int.
+    dim g_k counts the echelon pivots (i, j) with
     lambda_i - lambda_j = k:
     - Each reducer row's pivot is its least key, and each row is zero at
       the pivots of the rows inserted before it.  So the pivots are
@@ -292,7 +281,7 @@ def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> dict:
       with the weight spaces.  These have disjoint supports, so the least
       keys split by weight, and weight k holds dim g_k of them.
     """
-    weights = tuple(parse_rational(x) for x in lam)
+    weights = tuple(parse_integer(x) for x in lam)
     if len(weights) != algebra.ambient_dim:
         raise ValueError(
             f"lambda has length {len(weights)}, ambient dimension is {algebra.ambient_dim}"
@@ -303,8 +292,7 @@ def adjoint_of_diagonal(algebra: MatLieAlgebra, lam) -> dict:
             w = weights[i] - weights[j]
             if w != 0:
                 bracket[(i, j)] = w * v
-        residual, _ = algebra._reducer.reduce(bracket)
-        if residual:
+        if algebra._reducer.reduce(bracket):
             raise NormalizationError(idx)
-    levels = Counter(weights[i] - weights[j] for (i, j), _, _ in algebra._reducer.rows)
+    levels = Counter(weights[i] - weights[j] for (i, j), _ in algebra._reducer.rows)
     return dict(sorted(levels.items()))

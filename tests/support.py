@@ -2,7 +2,8 @@
 
 The oracles deliberately take different computational routes from the
 package: grading dimensions come from sympy's characteristic-polynomial
-eigenvalue multiplicities instead of kernel ranks, transcendence
+eigenvalue multiplicities, on an ad matrix whose columns sympy solves
+for, instead of echelon pivot counts, transcendence
 degrees come from elimination (resultant cascade with a Groebner
 fallback) instead of Jacobian ranks, irreducibility over Q is
 sympy's answer instead of the package's modular test, spec shape
@@ -23,7 +24,6 @@ import jsonschema
 import sympy
 
 from hodgescreen import (
-    ExactMatrix,
     FlagPoint,
     FunctionField,
     HodgeNumbers,
@@ -88,20 +88,18 @@ def random_classical_instance(rng, max_ambient=8):
 # -- eigenvalue-multiplicity grading oracle ----------------------------------------
 
 def brute_force_ad_matrix(algebra, lam):
-    """Matrix of ad(diag(lambda)) assembled from dense commutators."""
-    n = algebra.ambient_dim
-    rows = [[Fraction(lam[i]) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-    d_mat = ExactMatrix(QQ, rows)
-    columns = []
-    for b in algebra.basis:
-        bracket = d_mat * b - b * d_mat
-        coords = algebra.coordinates(bracket)
-        if coords is None:
-            raise AssertionError("oracle input: lambda does not normalize")
-        columns.append(coords)
-    dim = algebra.dim
-    return sympy.Matrix(dim, dim, lambda i, j: sympy.Rational(columns[j][i]))
+    """Matrix of ad(diag(lambda)) in the algebra's basis: sympy's solution
+    of basis * X = commutators, with each matrix flattened to a column."""
+    basis = [sympy.Matrix(b.rows) for b in algebra.basis]
+    d_mat = sympy.diag(*lam)
+    flat = sympy.Matrix.hstack(*(b.reshape(len(b), 1) for b in basis))
+    brackets = sympy.Matrix.hstack(
+        *((d_mat * b - b * d_mat).reshape(len(b), 1) for b in basis))
+    try:
+        solution, _params = flat.gauss_jordan_solve(brackets)
+    except ValueError:
+        raise AssertionError("oracle input: lambda does not normalize") from None
+    return solution
 
 
 def oracle_levels(algebra, lam):

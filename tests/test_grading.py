@@ -13,16 +13,12 @@ import pytest
 
 from hodgescreen import (
     QQ,
-    CocharGrading,
     HodgeCocharacter,
     HodgeNumbers,
-    IncompleteGrading,
     MatLieAlgebra,
     NormalizationError,
-    flag_dimension,
+    adjoint_of_diagonal,
     grade,
-    hcodim,
-    is_shimura_type,
     make_classical,
     report,
 )
@@ -33,50 +29,51 @@ from support import oracle_levels, random_classical_instance
 
 def test_symplectic_similitude_weight_three_grading():
     alg = make_classical("gsp", 4)
-    grading = grade(alg, HodgeCocharacter((3, 2, 1, 0)))
-    assert dict(grading.sorted_levels()) == {
+    mu = HodgeCocharacter((3, 2, 1, 0))
+    assert grade(alg, mu) == {
         -3: 1, -2: 1, -1: 2, 0: 3, 1: 2, 2: 1, 3: 1,
     }
-    assert flag_dimension(grading) == 4
-    assert hcodim(grading) == 2
-    assert not is_shimura_type(grading)
+    rep = report(alg, mu)
+    assert rep.flag_dim == 4
+    assert rep.hcodim == 2
+    assert not rep.shimura_type
 
 
 def test_weight_one_family_is_horizontal():
     for g in (1, 2, 3):
         alg = make_classical("gsp", 2 * g)
         lam = (1,) * g + (0,) * g
-        grading = grade(alg, HodgeCocharacter(lam))
-        assert flag_dimension(grading) == g * (g + 1) // 2
-        assert hcodim(grading) == 0
-        assert is_shimura_type(grading)
+        rep = report(alg, HodgeCocharacter(lam))
+        assert rep.flag_dim == g * (g + 1) // 2
+        assert rep.hcodim == 0
+        assert rep.shimura_type
 
 
 def test_torus_grading_is_concentrated_at_zero():
     alg = make_classical("diag_torus", 3)
-    grading = grade(alg, HodgeCocharacter((4, 1, 0)))
-    assert grading.sorted_levels() == [(0, 3)]
-    assert flag_dimension(grading) == hcodim(grading) == 0
-    assert is_shimura_type(grading)
+    mu = HodgeCocharacter((4, 1, 0))
+    assert list(grade(alg, mu).items()) == [(0, 3)]
+    rep = report(alg, mu)
+    assert rep.flag_dim == rep.hcodim == 0
+    assert rep.shimura_type
 
 
 def test_orthogonal_extreme_types_have_no_middle_levels():
     for n, lam, middle in ((4, (2, 2, 0, 0), 5), (6, (2, 2, 2, 0, 0, 0), 10)):
         alg = make_classical("go", n)
-        grading = grade(alg, HodgeCocharacter(lam))
-        levels = dict(grading.sorted_levels())
+        levels = grade(alg, HodgeCocharacter(lam))
         assert levels[0] == middle
         assert levels[-2] == levels[2]
         assert -1 not in levels and 1 not in levels
-        assert flag_dimension(grading) == hcodim(grading)
+        rep = report(alg, HodgeCocharacter(lam))
+        assert rep.flag_dim == rep.hcodim
 
 
 def test_levels_match_eigenvalue_oracle_on_random_instances():
     rng = random.Random(31337)
     for _ in range(12):
         alg, lam = random_classical_instance(rng, max_ambient=6)
-        grading = grade(alg, HodgeCocharacter(lam))
-        assert dict(grading.sorted_levels()) == oracle_levels(alg, lam)
+        assert grade(alg, HodgeCocharacter(lam)) == oracle_levels(alg, lam)
 
 
 def _mixed_basis(alg, rng):
@@ -101,7 +98,7 @@ def test_levels_match_eigenvalue_oracle_on_mixed_bases():
         weights_of = [{lam[i] - lam[j] for i, row in enumerate(b.rows)
                        for j, v in enumerate(row) if v} for b in mixed.basis]
         spread = max(spread, *map(len, weights_of))
-        levels = dict(grade(mixed, HodgeCocharacter(lam)).sorted_levels())
+        levels = grade(mixed, HodgeCocharacter(lam))
         assert levels == oracle_levels(mixed, lam)
     assert spread >= 3
 
@@ -139,10 +136,10 @@ def test_grading_exhausts_the_algebra_and_shifts_centrally():
     rng = random.Random(777)
     for _ in range(15):
         alg, lam = random_classical_instance(rng, max_ambient=6)
-        grading = grade(alg, HodgeCocharacter(lam))
-        assert sum(d for _k, d in grading.sorted_levels()) == alg.dim
-        shifted = grade(alg, HodgeCocharacter(lam).shifted(3))
-        assert shifted.sorted_levels() == grading.sorted_levels()
+        levels = grade(alg, HodgeCocharacter(lam))
+        assert sum(levels.values()) == alg.dim
+        assert list(levels) == sorted(levels)
+        assert grade(alg, HodgeCocharacter(lam).shifted(3)) == levels
 
 
 def test_full_spread_levels_of_gl_and_sl_in_closed_form():
@@ -152,9 +149,9 @@ def test_full_spread_levels_of_gl_and_sl_in_closed_form():
     for n in (12, 16):
         lam = tuple(range(n - 1, -1, -1))
         expected = {k: n - abs(k) for k in range(1 - n, n)}
-        assert dict(grade(make_classical("gl", n), HodgeCocharacter(lam)).levels) == expected
+        assert grade(make_classical("gl", n), HodgeCocharacter(lam)) == expected
         expected[0] -= 1
-        assert dict(grade(make_classical("sl", n), HodgeCocharacter(lam)).levels) == expected
+        assert grade(make_classical("sl", n), HodgeCocharacter(lam)) == expected
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.3f}s, budget 10s"
 
@@ -177,16 +174,6 @@ def test_shift_discards_the_declared_table():
         HodgeCocharacter((0, -1), declared_numbers=numbers)
 
 
-def test_direct_grading_constructor_contracts():
-    grading = CocharGrading(4, {1: 1, 0: 2, -1: 1, 5: 0})
-    assert grading.level(5) == 0 and 5 not in dict(grading.sorted_levels())
-    assert grading.is_symmetric()
-    with pytest.raises(IncompleteGrading):
-        CocharGrading(10, {0: 3})
-    with pytest.raises(ValueError):
-        CocharGrading(1, {0: -1})
-
-
 def test_weights_and_levels_are_read_as_integers_not_truncated():
     assert HodgeCocharacter(("1", 0)).weights == (1, 0)
     with pytest.raises(TypeError):
@@ -196,15 +183,25 @@ def test_weights_and_levels_are_read_as_integers_not_truncated():
     with pytest.raises(ValueError, match="is not an integer"):
         HodgeCocharacter(("1/2", 0))
     with pytest.raises(TypeError):
-        CocharGrading(1, {0.5: 1})
+        MatLieAlgebra(2.7, [])
     with pytest.raises(TypeError):
-        CocharGrading(1, {0: True})
+        make_classical("gl", True)
+    gl2 = make_classical("gl", 2)
+    assert [type(k) for k in adjoint_of_diagonal(gl2, ("1", 0))] == [int] * 3
+    with pytest.raises(TypeError):
+        adjoint_of_diagonal(gl2, (0.5, 0))
+    with pytest.raises(ValueError, match="is not an integer"):
+        adjoint_of_diagonal(gl2, ("1/2", 0))
 
 
 def test_shimura_boundary_is_exactly_levels_within_one():
-    assert is_shimura_type(CocharGrading(3, {-1: 1, 0: 1, 1: 1}))
-    assert not is_shimura_type(CocharGrading(3, {-2: 1, 0: 1, 2: 1}))
-    assert is_shimura_type(CocharGrading(2, {0: 2}))
+    gl2 = make_classical("gl", 2)
+    for lam, levels, shimura in (((1, 0), {-1: 1, 0: 2, 1: 1}, True),
+                                 ((2, 0), {-2: 1, 0: 2, 2: 1}, False),
+                                 ((1, 1), {0: 4}, True)):
+        mu = HodgeCocharacter(lam)
+        assert grade(gl2, mu) == levels
+        assert report(gl2, mu).shimura_type is shimura
 
 
 def test_report_collects_every_invariant():
@@ -221,10 +218,9 @@ def test_report_collects_every_invariant():
 
 def test_asymmetric_grading_from_a_custom_borel():
     # upper triangular 2x2 matrices: ad diag(1, 0) has no negative part
-    from hodgescreen import MatLieAlgebra
-
     borel = MatLieAlgebra(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]])
-    grading = grade(borel, HodgeCocharacter((1, 0)))
-    assert dict(grading.sorted_levels()) == {0: 2, 1: 1}
-    assert not grading.is_symmetric()
-    assert flag_dimension(grading) == 0
+    mu = HodgeCocharacter((1, 0))
+    assert grade(borel, mu) == {0: 2, 1: 1}
+    rep = report(borel, mu)
+    assert not rep.symmetric_grading
+    assert rep.flag_dim == 0

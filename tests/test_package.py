@@ -189,3 +189,45 @@ def test_every_imported_name_is_read():
                     if bound not in read:
                         unread.add((path.name, bound))
     assert unread == SPANS_PINS, sorted(unread)
+
+
+# Each oracle in support.py and the names of the route it checks, which
+# it must not read, directly or through another function of support.py.
+ORACLE_ROUTES = {
+    "brute_force_ad_matrix": {"coordinates", "contains", "_reducer",
+                              "adjoint_of_diagonal", "grade", "report"},
+    "oracle_levels": {"coordinates", "contains", "_reducer",
+                      "adjoint_of_diagonal", "grade", "report"},
+    "oracle_chart": {"normalize_chart", "echelons", "fraction_free_rref"},
+    "oracle_trdeg": {"trdeg", "jacobian_matrix", "evaluated_jacobian", "rank"},
+    "oracle_is_irreducible": {"is_irreducible_over_q"},
+}
+
+
+def names_read(functions: dict, name: str) -> set:
+    """Every name and attribute the function reads, with those read by
+    the functions of the same module that it reads in turn."""
+    seen, todo, read = set(), [name], set()
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        for node in ast.walk(functions[current]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+                if node.id in functions:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_the_oracles_read_nothing_of_the_routes_they_check():
+    path = ROOT / "tests" / "support.py"
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ORACLE_ROUTES) <= set(functions)
+    leaks = {name: sorted(names_read(functions, name) & route)
+             for name, route in ORACLE_ROUTES.items()}
+    assert leaks == {name: [] for name in ORACLE_ROUTES}, leaks

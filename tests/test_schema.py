@@ -272,6 +272,20 @@ def test_gand_group_must_contain_the_group():
     assert "does not contain" in problems_of(doc)
 
 
+def test_a_shipped_spec_refuses_a_gand_group_without_its_scalars(capsys, tmp_path):
+    # gsp(4) holds the scalars, which sl(4) lacks and gl(4) has.
+    doc = json.loads((SPECS / "gsp4-cy.json").read_text())
+    doc["gand_group"] = {"kind": "sl", "n": 4}
+    assert problems_of(doc) == "gand_group: does not contain the declared group algebra"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["screen", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "spec error: gand_group: does not contain the declared group algebra"]
+    doc["gand_group"] = {"kind": "gl", "n": 4}
+    assert parse_document(doc).gand_algebra.name == "gl(4)"
+
+
 def test_custom_basis_rules():
     doc = base_doc()
     doc["group"] = {"kind": "custom", "n": 2}
