@@ -4,9 +4,10 @@ Subcommands: invariants, screen, trdeg, hodge, lie-check.  Input is a
 strict-JSON spec document (see src/hodgescreen/spec_schema.json);
 reports go to standard output, diagnostics to standard error.  Exit
 codes partition the outcomes: 0 nothing screened out, 10 screened out,
-2 input invalid, 3 input valid but mathematically malformed.  Repeated
-runs on the same input are byte-identical, in text and in JSON mode
-alike.
+2 input invalid, 3 input valid but mathematically malformed.  Each
+subcommand returns one payload dict, its exit code inside; main writes
+it once, as text or as JSON.  Repeated runs on the same input are
+byte-identical, in text and in JSON mode alike.
 """
 
 from __future__ import annotations
@@ -57,15 +58,28 @@ def _gradings(doc: SpecDocument):
             None if gand is None else grade_report(gand, doc.cocharacter))
 
 
+def _invariants_payload(command: str, spec_path: str, doc: SpecDocument):
+    """(payload with the invariant sections and the asymmetry warning,
+    main report, gand report)."""
+    main, gand = _gradings(doc)
+    payload = {
+        **_common_payload(command, spec_path, doc),
+        "invariants": main._asdict(),
+        "gand_invariants": gand._asdict() if gand else None,
+        "warnings": [] if main.symmetric_grading else [_ASYMMETRY_NOTE],
+    }
+    return payload, main, gand
+
+
 def _trdeg_section(doc: SpecDocument, seed):
-    """(json section, trdeg value, warnings) from flag or override."""
+    """(json section, warnings) from flag or override."""
     if doc.flag is not None:
         result = trdeg(doc.flag, seed=seed)
         warnings = [_INDEPENDENCE_NOTE] if result.params else []
-        return rp.trdeg_json(result, seed), result.value, warnings
+        return rp.trdeg_json(result, seed), warnings
     if doc.trdeg_override is not None:
         result = TrdegResult(doc.trdeg_override, (), ())
-        return rp.trdeg_json(result, None, "override"), result.value, []
+        return rp.trdeg_json(result, None, "override"), []
     raise SpecValidationError(
         "this command needs transcendence data: declare flag_point or trdeg_override"
     )
@@ -92,81 +106,64 @@ def _polarization_section(doc: SpecDocument, warnings: list):
         )
         return None
     structure = RealizedHodgeStructure(doc.flag, doc.numbers)
-    return rp.polarization_json(polarization_check(structure, doc.polarization))
+    return polarization_check(structure, doc.polarization)._asdict()
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> dict:
+    payload = _invariants_payload("invariants", args.spec, load_document(args.spec))[0]
+    return {**payload, "exit_code": 0}
+
+
+def cmd_screen(args) -> dict:
     doc = load_document(args.spec)
-    main, gand = _gradings(doc)
-    payload = _common_payload("invariants", args.spec, doc)
-    payload["invariants"] = main._asdict()
-    payload["gand_invariants"] = gand._asdict() if gand else None
-    warnings = []
-    if not main.symmetric_grading:
-        warnings.append(_ASYMMETRY_NOTE)
-    payload["warnings"] = warnings
-    payload["exit_code"] = 0
-    _emit(payload, args)
-    return 0
+    payload, main, gand = _invariants_payload("screen", args.spec, doc)
+    trdeg_section, warnings = _trdeg_section(doc, args.seed)
+    warnings += payload["warnings"]
+    verdicts, chains = evaluate(trdeg_section["value"], main, doc.conjectures,
+                                gand_report=gand)
+    return {
+        **payload,
+        "trdeg": trdeg_section,
+        "conjectures": doc.conjectures._asdict(),
+        # a ChainIdentity exists only when it holds
+        "chain_identity": [{**c._asdict(), "holds": True} for c in chains],
+        "verdicts": [v._asdict() for v in verdicts],
+        "polarization": _polarization_section(doc, warnings),
+        "warnings": warnings,
+        "exit_code": exit_code_for(verdicts),
+    }
 
 
-def cmd_screen(args) -> int:
-    doc = load_document(args.spec)
-    main, gand = _gradings(doc)
-    trdeg_section, value, warnings = _trdeg_section(doc, args.seed)
-    verdicts, chains = evaluate(value, main, doc.conjectures, gand_report=gand)
-    if not main.symmetric_grading:
-        warnings.append(_ASYMMETRY_NOTE)
-    polarization = _polarization_section(doc, warnings)
-    code = exit_code_for(verdicts)
-    payload = _common_payload("screen", args.spec, doc)
-    payload["invariants"] = main._asdict()
-    payload["gand_invariants"] = gand._asdict() if gand else None
-    payload["trdeg"] = trdeg_section
-    payload["conjectures"] = doc.conjectures._asdict()
-    payload["chain_identity"] = [rp.chain_json(c) for c in chains]
-    payload["verdicts"] = [rp.verdict_json(v) for v in verdicts]
-    payload["polarization"] = polarization
-    payload["warnings"] = warnings
-    payload["exit_code"] = code
-    _emit(payload, args)
-    return code
-
-
-def cmd_trdeg(args) -> int:
+def cmd_trdeg(args) -> dict:
     doc = load_document(args.spec)
     if doc.flag is None:
         raise SpecValidationError("trdeg needs a flag_point section with coordinates")
-    result = trdeg(doc.flag, seed=args.seed)
-    payload = _common_payload("trdeg", args.spec, doc)
-    payload["trdeg"] = rp.trdeg_json(result, args.seed)
-    payload["warnings"] = [_INDEPENDENCE_NOTE] if result.params else []
-    payload["exit_code"] = 0
-    _emit(payload, args)
-    return 0
+    section, warnings = _trdeg_section(doc, args.seed)
+    return {**_common_payload("trdeg", args.spec, doc), "trdeg": section,
+            "warnings": warnings, "exit_code": 0}
 
 
-def cmd_lie_check(args) -> int:
+def cmd_lie_check(args) -> dict:
     doc = load_document(args.spec)
     _gradings(doc)
-    payload = _common_payload("lie-check", args.spec, doc)
     # load_document and grade_report raise before this line if any check fails
-    payload["checks"] = dict.fromkeys(
-        ("basis_independent", "bracket_closed", "cocharacter_normalizes"), True)
-    payload["gand_group"] = (
-        rp.group_json(doc.gand_algebra) if doc.gand_algebra is not None else None
-    )
-    payload["warnings"] = []
-    payload["exit_code"] = 0
-    _emit(payload, args)
-    return 0
+    return {
+        **_common_payload("lie-check", args.spec, doc),
+        "checks": dict.fromkeys(
+            ("basis_independent", "bracket_closed", "cocharacter_normalizes"), True),
+        "gand_group": (
+            rp.group_json(doc.gand_algebra) if doc.gand_algebra is not None else None
+        ),
+        "warnings": [],
+        "exit_code": 0,
+    }
 
 
 _HODGE_ARITY = {"dual": (1, 0), "tensor": (2, 0), "wedge": (1, 1),
                 "sym": (1, 1), "twist": (1, 1)}
 
 
-def cmd_hodge(args) -> int:
+def cmd_hodge(args) -> dict:
     nfiles, nints = _HODGE_ARITY[args.op]
     operands = args.operands
     if len(operands) != nfiles + nints:
@@ -191,22 +188,13 @@ def cmd_hodge(args) -> int:
         result = operation(*tables, *([k] if nints else []))
     except ValueError as exc:
         raise MathDomainError(str(exc)) from None
-    payload = {
+    return {
         "command": f"hodge {args.op}",
         "spec": " ".join(str(x) for x in operands),
         "hodge_numbers": rp.hodge_numbers_json(result),
         "warnings": [],
         "exit_code": 0,
     }
-    _emit(payload, args)
-    return 0
-
-
-def _emit(payload: dict, args):
-    if args.json:
-        sys.stdout.write(rp.to_json(payload))
-    else:
-        sys.stdout.write(rp.render_text(payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +248,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
     except SpecValidationError as exc:
         for problem in exc.problems:
             print(f"spec error: {problem}", file=sys.stderr)
@@ -268,6 +256,8 @@ def main(argv=None) -> int:
     except MathDomainError as exc:
         print(f"math error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(rp.to_json(payload) if args.json else rp.render_text(payload))
+    return payload["exit_code"]
 
 
 if __name__ == "__main__":

@@ -26,19 +26,17 @@ class NormalizationError(MathDomainError):
     """diag(lambda) does not normalize the given algebra: some bracket
     [diag(lambda), b_j] falls outside the span of the basis."""
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"[diag(lambda), basis[{index}]] is not in the algebra")
+        super().__init__(f"[diag(lambda), basis[{index}]] is not in the algebra")
 
 
 class BracketClosureError(MathDomainError):
     """A claimed Lie algebra basis is not closed under the commutator."""
 
-    def __init__(self, i, j, message=None):
+    def __init__(self, i, j):
         self.pair = (i, j)
-        super().__init__(
-            message or f"[basis[{i}], basis[{j}]] is not in the span of the basis"
-        )
+        super().__init__(f"[basis[{i}], basis[{j}]] is not in the span of the basis")
 
 
 class NotAHodgeFiltration(MathDomainError):

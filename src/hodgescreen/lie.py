@@ -129,14 +129,17 @@ class MatLieAlgebra:
     """A Lie algebra given by an explicit matrix basis over Q.
 
     The ambient dimension n is read with parse_integer (no float or
-    bool).  A basis element is an n x n ExactMatrix over QQ, its rows, or
-    a {(i, j): value} dict with every key inside n x n.  Every entry goes
-    once through parse_rational, zeros are dropped, and only this sparse
-    form is kept: `basis` builds dense ExactMatrix objects on each access.
+    bool) and must be positive.  A basis element is an n x n ExactMatrix
+    over QQ, its rows, or a {(i, j): value} dict with every key inside
+    n x n.  Every entry goes once through parse_rational, zeros are
+    dropped, and only this sparse form is kept: `basis` builds dense
+    ExactMatrix objects on each access.
     """
 
     def __init__(self, ambient_dim: int, basis, name: str = "user"):
         self.ambient_dim = parse_integer(ambient_dim)
+        if self.ambient_dim < 1:
+            raise ValueError("ambient dimension must be positive")
         self.name = name
         self._sparse = [_entries(b, self.ambient_dim) for b in basis]
         self._reducer = _SpanReducer()

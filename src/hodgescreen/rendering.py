@@ -3,12 +3,13 @@
 One payload dict feeds both output modes.  JSON output is canonical
 (sorted keys, two-space indent, trailing newline) and the text renderer
 walks the same payload, so repeated runs on the same input are
-byte-identical in either mode.  Exact scalars serialize as JSON
-integers when integral and as "a/b" strings otherwise; nothing is ever
-converted to a float.  The invariants, gand_invariants and conjectures
-sections are their records' _asdict() (grading.InvariantReport,
-verdicts.ConjectureSet): to_json sorts the keys and writes tuples as
-lists.
+byte-identical in either mode.  Every section that a record carries is
+that record's _asdict() (grading.InvariantReport, verdicts.Verdict,
+verdicts.ChainIdentity, verdicts.ConjectureSet, hodge.PolarizationResult);
+to_json sorts the keys and writes tuples as lists.  Exact scalars are
+serialized in one place, the hook _exact that to_json hands json.dumps:
+a Fraction becomes a JSON integer when integral and an "a/b" string
+otherwise, and nothing is ever converted to a float.
 """
 
 from __future__ import annotations
@@ -17,52 +18,17 @@ import json
 from fractions import Fraction
 
 
-def scalar_json(value):
-    """Exact JSON image of a rational scalar."""
-    if value is None or isinstance(value, int):  # bool included
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
 def trdeg_json(result, seed, source: str = "flag_point") -> dict:
     """The trdeg section of a flags.TrdegResult.  A declared override is a
     result with no chart and no parameters, under source "override"."""
-    cert = result.certificate
     return {
         "value": result.value,
         "source": source,
         "params": list(result.params),
         "chart_length": len(result.chart_coordinates),
         "seed": seed,
-        "certificate": None if cert is None else {
-            **cert, "point": [scalar_json(x) for x in cert["point"]]},
+        "certificate": result.certificate,
     }
-
-
-def verdict_json(verdict) -> dict:
-    return {
-        "kind": verdict.kind,
-        "payload": {k: scalar_json(v) for k, v in sorted(verdict.payload.items())},
-        "conditional_on": list(verdict.conditional_on),
-        "narrative": verdict.narrative,
-    }
-
-
-def chain_json(chain) -> dict:
-    return {
-        "flag_dim": chain.flag_dim,
-        "g_minus_one_dim": chain.g_minus_one_dim,
-        "hcodim": chain.hcodim,
-        "holds": True,  # a ChainIdentity exists only when it holds
-    }
-
-
-def polarization_json(result) -> dict:
-    return {**result._asdict(), "witness": scalar_json(result.witness)}
 
 
 def group_json(algebra) -> dict:
@@ -81,8 +47,17 @@ def hodge_numbers_json(numbers) -> dict:
     }
 
 
+def _exact(value):
+    """The JSON image of a scalar json cannot write itself: a Fraction."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"no exact JSON image for {type(value).__name__}")
+
+
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_exact) + "\n"
 
 
 # -- text rendering --------------------------------------------------------------

@@ -19,12 +19,17 @@ The unconditional part is the identity
 
     flag_dim - dim g_{-1} = hcodim,
 
-re-checked on every run (IdentityViolation would mean corrupted state),
-plus the bookkeeping bounds: any defining field of the filtration has
-transcendence degree at most dim g_{-1} (conditional on motivated), and
-trdeg of the structure is at least flag_dim minus that (conditional on
-the generalized period conjecture).  When a larger group models the
-motivic Galois group, the bound pair is computed on both sides.
+re-checked on every run: chain_identity raises IdentityViolation (which
+would mean corrupted state) before it builds a ChainIdentity, so every
+one it returns holds.  Beside it come the bookkeeping bounds: any
+defining field of the filtration has transcendence degree at most
+dim g_{-1} (conditional on motivated), and trdeg of the structure is at
+least flag_dim minus that (conditional on the generalized period
+conjecture).  When a larger group models the motivic Galois group, the
+bound pair is computed on both sides.
+
+Verdict, ChainIdentity and ConjectureSet are NamedTuples; the command
+line writes each as its _asdict().
 """
 
 from __future__ import annotations
@@ -42,9 +47,6 @@ _LABEL_TEXT = {
     GGPC: "the generalized Grothendieck period conjecture",
 }
 
-KINDS = ("not_from_geometry", "consistent", "shimura_violation",
-         "maximal_transcendence", "bound")
-
 
 class ConjectureSet(NamedTuple):
     """Explicit toggles for the conditional hypotheses; gpc is recorded
@@ -55,17 +57,15 @@ class ConjectureSet(NamedTuple):
     ggpc: bool
 
 
-class Verdict:
-    __slots__ = ("kind", "payload", "conditional_on", "narrative")
+class Verdict(NamedTuple):
+    """One conclusion or bound.  kind is one of not_from_geometry,
+    consistent, shimura_violation, maximal_transcendence and bound; only
+    the builders below make verdicts."""
 
-    def __init__(self, kind: str, payload: dict | None = None,
-                 conditional_on: tuple = (), narrative: str = ""):
-        if kind not in KINDS:
-            raise ValueError(f"unknown verdict kind {kind!r}")
-        self.kind = kind
-        self.payload = {} if payload is None else payload
-        self.conditional_on = conditional_on
-        self.narrative = narrative
+    kind: str
+    payload: dict
+    conditional_on: tuple
+    narrative: str
 
 
 def _conditions_text(labels) -> str:
@@ -117,76 +117,53 @@ def shimura_necessity(trdeg_value: int, report: InvariantReport,
 
 
 def maximal_transcendence_verdict(trdeg_value: int, report: InvariantReport) -> Verdict | None:
-    if int(trdeg_value) != report.flag_dim:
+    t = int(trdeg_value)
+    if t != report.flag_dim:
         return None
-    return Verdict(
-        kind="maximal_transcendence",
-        payload={"trdeg": int(trdeg_value), "flag_dim": report.flag_dim},
-        conditional_on=(),
-        narrative=(
-            f"transcendence degree {trdeg_value} equals the flag variety dimension "
-            f"{report.flag_dim}: the filtration is maximally transcendental"
-        ),
-    )
+    return Verdict("maximal_transcendence", {"trdeg": t, "flag_dim": report.flag_dim}, (), (
+        f"transcendence degree {t} equals the flag variety dimension "
+        f"{report.flag_dim}: the filtration is maximally transcendental"))
 
 
 def field_descent_bound(report: InvariantReport, side: str = "Mumford-Tate") -> Verdict:
     """Upper bound on the transcendence degree of any field of definition
     of the filtration: dim g_{-1}, conditional on motivated Hodge cycles."""
     bound = report.g_minus_one_dim
-    return Verdict(
-        kind="bound",
-        payload={"defining_field_trdeg_max": bound},
-        conditional_on=(MOTIVATED,),
-        narrative=(
-            f"[{side} side] any field of definition of the filtration has "
-            f"transcendence degree at most {bound} over the rationals "
-            f"(conditional on: {_conditions_text((MOTIVATED,))})"
-        ),
-    )
+    return Verdict("bound", {"defining_field_trdeg_max": bound}, (MOTIVATED,), (
+        f"[{side} side] any field of definition of the filtration has "
+        f"transcendence degree at most {bound} over the rationals "
+        f"(conditional on: {_conditions_text((MOTIVATED,))})"))
 
 
 def trdeg_lower_bound(flag_dim: int, defining_field_trdeg: int,
                       side: str = "Mumford-Tate") -> Verdict:
     """Lower bound trdeg >= flag_dim - trdeg(K), conditional on the
     generalized Grothendieck period conjecture."""
-    bound = max(0, int(flag_dim) - int(defining_field_trdeg))
-    return Verdict(
-        kind="bound",
-        payload={
-            "trdeg_min": bound,
-            "flag_dim": int(flag_dim),
-            "defining_field_trdeg": int(defining_field_trdeg),
-        },
-        conditional_on=(GGPC,),
-        narrative=(
-            f"[{side} side] the transcendence degree of the structure is at least "
-            f"{flag_dim} - {defining_field_trdeg} = {bound} "
-            f"(conditional on: {_conditions_text((GGPC,))})"
-        ),
-    )
+    dim, k = int(flag_dim), int(defining_field_trdeg)
+    bound = max(0, dim - k)
+    payload = {"trdeg_min": bound, "flag_dim": dim, "defining_field_trdeg": k}
+    return Verdict("bound", payload, (GGPC,), (
+        f"[{side} side] the transcendence degree of the structure is at least "
+        f"{flag_dim} - {defining_field_trdeg} = {bound} "
+        f"(conditional on: {_conditions_text((GGPC,))})"))
 
 
-class ChainIdentity:
-    """flag_dim - dim g_{-1} = hcodim, an unconditional identity.
+class ChainIdentity(NamedTuple):
+    """flag_dim - dim g_{-1} = hcodim, an unconditional identity."""
 
-    The constructor raises IdentityViolation when it fails, so every
-    instance holds."""
-
-    __slots__ = ("flag_dim", "g_minus_one_dim", "hcodim")
-
-    def __init__(self, flag_dim: int, g_minus_one_dim: int, hcodim: int):
-        if flag_dim - g_minus_one_dim != hcodim:
-            raise IdentityViolation(
-                f"flag_dim {flag_dim} - dim g_(-1) {g_minus_one_dim} "
-                f"!= hcodim {hcodim}"
-            )
-        self.flag_dim = flag_dim
-        self.g_minus_one_dim = g_minus_one_dim
-        self.hcodim = hcodim
+    flag_dim: int
+    g_minus_one_dim: int
+    hcodim: int
 
 
 def chain_identity(report: InvariantReport) -> ChainIdentity:
+    """The identity read off report; raises IdentityViolation when it
+    fails, so every ChainIdentity this returns holds."""
+    if report.flag_dim - report.g_minus_one_dim != report.hcodim:
+        raise IdentityViolation(
+            f"flag_dim {report.flag_dim} - dim g_(-1) {report.g_minus_one_dim} "
+            f"!= hcodim {report.hcodim}"
+        )
     return ChainIdentity(report.flag_dim, report.g_minus_one_dim, report.hcodim)
 
 
@@ -209,15 +186,9 @@ def evaluate(trdeg_value: int, report: InvariantReport, conjectures: ConjectureS
         sides.append(("motivic Galois model", gand_report))
     chains = []
     for side, side_report in sides:
-        descent = field_descent_bound(side_report, side=side)
-        verdicts.append(descent)
-        verdicts.append(
-            trdeg_lower_bound(
-                side_report.flag_dim,
-                descent.payload["defining_field_trdeg_max"],
-                side=side,
-            )
-        )
+        verdicts.append(field_descent_bound(side_report, side=side))
+        verdicts.append(trdeg_lower_bound(
+            side_report.flag_dim, side_report.g_minus_one_dim, side=side))
         chains.append(chain_identity(side_report))
     return verdicts, chains
 

@@ -5,10 +5,12 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hodgescreen.cli import main
+from hodgescreen.rendering import to_json
 from hodgescreen.flags import FlagPoint
 from hodgescreen.hodge import SYM_WORK_BOUND
 
@@ -436,3 +438,74 @@ def test_asymmetric_levels_are_warned_about(tmp_path):
         text = run(command, spec_text=doc, tmp_path=tmp_path)
         assert "  symmetric grading  no" in text.stdout.splitlines()
         assert "  - level dimensions are not symmetric" in text.stdout
+
+
+INDEPENDENCE_NOTE = ("the declared parameters are assumed algebraically independent "
+                     "over Q; the transcendence degree refers to this parametric model")
+ASYMMETRY_NOTE = ("level dimensions are not symmetric under k -> -k, which cannot "
+                  "happen for a reductive algebra; check the declared basis")
+
+
+def test_a_failing_polarization_prints_its_rational_witness(tmp_path, capsys):
+    """S = [[0, -1/3], [1/3, 0]] on the elliptic curve's flag gives
+    i S(w, conj w) = -2/3 on H^1,0: the detail, the witness line and the
+    JSON witness all write it exactly."""
+    doc = json.loads((SPECS / "elliptic-gsp2.json").read_text())
+    doc["polarization"] = {"matrix": [[0, "-1/3"], ["1/3", 0]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["screen", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("polarization")
+    assert lines[start:start + 5] == [
+        "polarization",
+        "  status             positivity_fails",
+        "  detail             i^(1-0) S(w, conj w) is not positive on H^1,0 (value -2/3)",
+        "  witness            -2/3",
+        "",
+    ]
+    assert main(["screen", "--json", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["polarization"] == {
+        "status": "positivity_fails",
+        "detail": "i^(1-0) S(w, conj w) is not positive on H^1,0 (value -2/3)",
+        "witness": "-2/3",
+    }
+    assert '    "witness": "-2/3"\n' in out
+
+
+def test_screen_warnings_come_in_a_fixed_order(tmp_path, capsys):
+    """A parametric flag on the asymmetric Borel of gl(2), with a
+    polarization: the independence note, then the asymmetry note, then
+    the skipped polarization check; invariants gives the asymmetry note
+    alone."""
+    doc = {
+        "group": {"kind": "custom", "n": 2, "basis": [
+            [["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]},
+        "cocharacter": {"lambda": [1, 0]},
+        "hodge_numbers": {"weight": 1, "dims": [[1, 0, 1], [0, 1, 1]]},
+        "flag_point": {"params": ["t1"], "steps": [{"p": 1, "basis": [["1", "t1"]]}]},
+        "polarization": {"matrix": [[0, 1], [-1, 0]]},
+        "conjectures": {"motivated": True, "gpc": True, "ggpc": True},
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    skipped = ("polarization check skipped: the flag has free parameters, and "
+               "positivity is decided only for fully specified coordinates")
+    for command, warnings in (("screen", [INDEPENDENCE_NOTE, ASYMMETRY_NOTE, skipped]),
+                              ("invariants", [ASYMMETRY_NOTE])):
+        assert main([command, "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == warnings
+        assert main([command, str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("warnings")
+        assert lines[start:] == ["warnings", *(f"  - {w}" for w in warnings), "",
+                                 "exit code 0"]
+
+
+def test_to_json_writes_fractions_exactly_and_nothing_else():
+    assert json.loads(to_json({"w": Fraction(-2, 3), "p": [Fraction(5)]})) == {
+        "w": "-2/3", "p": [5]}
+    assert '"p": [\n    5\n  ]' in to_json({"p": [Fraction(5)]})
+    with pytest.raises(TypeError):
+        to_json({"x": object()})

@@ -123,6 +123,19 @@ def test_cli_output_matches_the_record(monkeypatch):
     assert not differences, "\n\n".join(differences)
 
 
+def _no_float(text):
+    raise AssertionError(f"float {text} in a JSON record")
+
+
+def test_json_records_are_exact():
+    """Every recorded --json stdout parses with no float in it: exact
+    scalars are written as integers or "a/b" strings."""
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    parsed = [json.loads(run["stdout"], parse_float=_no_float)
+              for run in recorded if "--json" in run["argv"] and run["stdout"]]
+    assert len(parsed) == len(recorded) // 2
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     runs = [replay(argv) for argv in golden_argvs()]

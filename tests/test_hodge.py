@@ -230,6 +230,23 @@ def test_a_rational_structure_has_only_types_p_equals_q():
     assert refused >= 20
 
 
+def test_a_piece_of_the_wrong_dimension_is_refused():
+    """Over Q with F^2 = <e1> and F^1 = <e1, e2>, H^1,1 = F^1 cap conj F^1
+    is all of F^1, two dimensions where one is declared."""
+    numbers = HodgeNumbers(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    steps = ((2, ((1, 0, 0),)), (1, ((1, 0, 0), (0, 1, 0))))
+    with pytest.raises(NotAHodgeFiltration,
+                       match=r"^piece H\^1,1 has dimension 2, declared 1$"):
+        realize(QQ, numbers, steps)
+
+
+def test_a_degenerate_form_fails_positivity_with_witness_zero():
+    """S = [[0, 1], [1, 0]] on H = H^0,0 of dimension 2 is isotropic on e1,
+    so the hermitian form is degenerate there."""
+    structure = realize(QQ, HodgeNumbers(0, {(0, 0): 2}), ())
+    result = polarization_check(structure, PolarizationForm(0, ((0, 1), (1, 0))))
+    assert result == ("positivity_fails", "the hermitian form is degenerate on H^0,0", 0)
+
 def test_realization_step_bookkeeping():
     qi = gaussian_field()
     i = qi.gen()

@@ -95,6 +95,18 @@ def test_form_validation_rejects_bad_input():
         make_classical("spin", 4)
 
 
+def test_ambient_dimension_and_form_shape_are_refused():
+    """A non-positive ambient dimension is refused by the constructor and
+    by make_classical before any form is built; a form of the wrong shape
+    names the shape it needs."""
+    for build in (lambda: MatLieAlgebra(0, []), lambda: MatLieAlgebra(-3, []),
+                  lambda: make_classical("gl", 0), lambda: make_classical("so", 0)):
+        with pytest.raises(ValueError, match="^ambient dimension must be positive$"):
+            build()
+    with pytest.raises(ValueError, match="^form must be 3 x 3$"):
+        make_classical("so", 3, form=[[1, 0], [0, 1]])
+
+
 def test_user_basis_requires_closure_and_independence():
     e = [[0, 1], [0, 0]]
     f = [[0, 0], [1, 0]]

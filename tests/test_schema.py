@@ -286,6 +286,23 @@ def test_a_shipped_spec_refuses_a_gand_group_without_its_scalars(capsys, tmp_pat
     assert parse_document(doc).gand_algebra.name == "gl(4)"
 
 
+def test_a_decimal_flag_entry_and_a_repeated_dims_row_exit_2(capsys, tmp_path):
+    decimal = json.loads((SPECS / "gsp4-cy-generic.json").read_text())
+    decimal["flag_point"]["steps"][0]["basis"][0][1] = "t1 + 1.5"
+    repeated = base_doc()
+    repeated["hodge_numbers"]["dims"].append([1, 0, 1])
+    repeated["trdeg_override"] = 0
+    path = tmp_path / "spec.json"
+    for doc, problem in (
+        (decimal, "flag_point/steps/0/basis/0/1: only integer literals are exact; "
+                  "rewrite 1.5 as a fraction a/b"),
+        (repeated, "hodge_numbers: duplicate (p, q) rows in dims"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert cli.main(["screen", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"spec error: {problem}\n")
+
 def test_custom_basis_rules():
     doc = base_doc()
     doc["group"] = {"kind": "custom", "n": 2}

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from hodgescreen import (
-    ChainIdentity,
     ConjectureSet,
     IdentityViolation,
     InvariantReport,
@@ -179,8 +178,9 @@ def test_chain_identity_holds_and_detects_corruption():
     rep = make_report(4, 2)
     chain = chain_identity(rep)
     assert chain.flag_dim - chain.g_minus_one_dim == chain.hcodim
+    assert chain == (4, 2, 2)
     with pytest.raises(IdentityViolation):
-        ChainIdentity(flag_dim=4, g_minus_one_dim=1, hcodim=2)
+        chain_identity(rep._replace(g_minus_one_dim=1))
 
 
 def test_evaluate_collects_both_sides():
@@ -209,12 +209,25 @@ def test_every_rejection_names_its_hypotheses():
                     assert "conditional on" in v.narrative
 
 
+KINDS = {"not_from_geometry", "consistent", "shimura_violation",
+         "maximal_transcendence", "bound"}
+
+
 def test_verdict_kind_is_validated():
-    with pytest.raises(ValueError):
-        Verdict(kind="mystery")
+    """Over the grid of test_every_rejection_names_its_hypotheses, with
+    the toggles on and off, every kind is one of the five documented
+    names, and each of the five occurs."""
+    reports = [make_report(f, h) for f in range(1, 6) for h in range(0, f + 1)]
+    seen = set()
+    for rep in reports:
+        for t in range(0, rep.flag_dim + 1):
+            for conjectures in (ALL_ON, ALL_OFF):
+                verdicts, _ = evaluate(t, rep, conjectures)
+                seen.update(v.kind for v in verdicts)
+    assert seen == KINDS
 
 
 def test_exit_code_keyed_on_not_from_geometry_alone():
-    assert exit_code_for([Verdict(kind="bound")]) == 0
-    assert exit_code_for([Verdict(kind="shimura_violation")]) == 0
-    assert exit_code_for([Verdict(kind="not_from_geometry")]) == 10
+    assert exit_code_for([Verdict("bound", {}, (), "")]) == 0
+    assert exit_code_for([Verdict("shimura_violation", {}, (), "")]) == 0
+    assert exit_code_for([Verdict("not_from_geometry", {}, (), "")]) == 10
