@@ -197,9 +197,6 @@ class NumberFieldElement:
     def __sub__(self, other):
         return self + (-self._check_same(other))
 
-    def __rsub__(self, other):
-        return self._check_same(other) - self
-
     def __mul__(self, other):
         other = self._check_same(other)
         product = poly_mul(self.coords, other.coords, RATIONAL)
@@ -216,9 +213,6 @@ class NumberFieldElement:
 
     def __truediv__(self, other):
         return self * self._check_same(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._check_same(other) * self.inverse()
 
     def __pow__(self, n):
         return power(self.inverse() if n < 0 else self, abs(n), self.field.one())

@@ -145,9 +145,6 @@ class Rectangle:
         num = self * other.conj()
         return Rectangle(num.re.divide(denom), num.im.divide(denom))
 
-    def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
-
     def strictly_inside(self, other) -> bool:
         return self.re.strictly_inside(other.re) and self.im.strictly_inside(other.im)
 

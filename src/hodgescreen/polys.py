@@ -22,7 +22,14 @@ from typing import Iterable
 
 
 class PolyRing:
-    """Polynomial ring field[names] with a fixed variable order."""
+    """Polynomial ring field[names] with a fixed variable order.
+
+    The ring builds its zero and one once, and zero(), one() and every
+    constant equal to them hand out those same objects, so the
+    denominator 1 of every polynomial rational function is one shared
+    Poly.  Sharing is safe because a Poly is never mutated: its terms
+    dict is filled before Poly() is called and only read after.
+    """
 
     def __init__(self, field, names: Iterable[str]):
         self.field = field
@@ -30,17 +37,22 @@ class PolyRing:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         self.nvars = len(self.names)
+        self._unit = field.one()
+        self._zero = Poly(self, {})
+        self._one = Poly(self, {(0,) * self.nvars: self._unit})
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return self._zero
 
     def one(self) -> "Poly":
-        return self.const(self.field.one())
+        return self._one
 
     def const(self, value) -> "Poly":
         c = self.field.coerce(value)
         if self.field.is_zero(c):
-            return Poly(self, {})
+            return self._zero
+        if c == self._unit:
+            return self._one
         return Poly(self, {(0,) * self.nvars: c})
 
     def gen(self, name: str) -> "Poly":

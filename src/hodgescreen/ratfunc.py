@@ -6,6 +6,19 @@ and the denominator is scaled so its lex-leading coefficient is one.
 Over a coefficient field that pair is a canonical form, so structural
 equality of the pair is equality in the field.
 
+Sums follow Henrici (1956; Knuth, TAOCP vol. 2, 4.5.1) and are built
+already reduced, with no gcd of the whole cross-multiplied result.  For
+reduced a/b and c/d let g = gcd(b, d).  When g = 1 the sum is
+(ad + cb)/(bd): an irreducible p dividing bd divides exactly one of b
+and d, say b, and then divides cb but not ad, so not ad + cb.
+Otherwise write b = g b', d = g d' and t = a d' + c b'.  The sum is
+t / (b' d' g), and with h = gcd(t, g) it is (t/h) / (b' d' (g/h)).  That
+is reduced: a prime p dividing b' divides neither a nor d' (b' and d'
+are coprime), so not t; likewise for d'; and no p divides both t/h and
+g/h, or p*h would divide both t and g.  Every denominator here is a
+product of polynomials with lex-leading coefficient one, so it has one
+too.  Products and quotients still reduce by one gcd of the result.
+
 Evaluation at a rational point raises DenominatorVanishes when the point
 hits the denominator's zero locus; the Jacobian fast path in `flags`
 catches that and redraws its point.
@@ -107,12 +120,21 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other):
+        """Henrici's sum: one gcd of the denominators, and one of the
+        numerator with g = gcd(b, d) only when g is not constant."""
         other = self._coerce(other)
-        return RatFunc(
-            self.field,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d)
+        if g.is_constant():  # so g = 1
+            return RatFunc(self.field, a * d + c * b, b * d, reduce=False)
+        b1 = divexact(b, g)
+        d1 = divexact(d, g)
+        t = a * d1 + c * b1
+        h = poly_gcd(t, g)
+        if not h.is_constant():
+            t = divexact(t, h)
+            g = divexact(g, h)
+        return RatFunc(self.field, t, b1 * d1 * g, reduce=False)
 
     __radd__ = __add__
 

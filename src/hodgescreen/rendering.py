@@ -155,8 +155,5 @@ def render_text(payload: dict) -> str:
         for w in payload["warnings"]:
             lines.append(f"  - {w}")
         lines.append("")
-    if "exit_code" in payload:
-        lines.append(f"exit code {payload['exit_code']}")
-    while lines and lines[-1] == "":
-        lines.pop()
+    lines.append(f"exit code {payload['exit_code']}")
     return "\n".join(lines) + "\n"

@@ -99,7 +99,11 @@ def parse_entry(value, env: dict, field):
     Before each step runs, its coefficient products are bounded from its
     operands' term counts: m * n for + - * / on operands of m and n terms
     (numerator plus denominator), _power_products for a power.  A step
-    over MAX_STEP_PRODUCTS is a ValueError.
+    over MAX_STEP_PRODUCTS is a ValueError.  The bound counts the
+    cross-multiplied products only: not the gcds that reduce a step's
+    result (of the denominators and then of the numerator for a sum, of
+    the whole fraction for a product or a quotient), nor the exact
+    divisions by them.
     """
     if isinstance(value, bool):
         raise ValueError("boolean is not a scalar entry")

@@ -20,11 +20,13 @@ from hodgescreen import (
     rank,
     trdeg,
 )
+from hodgescreen import polys
 from hodgescreen.flags import (
     _FAST_PATH_RANGE,
     evaluated_jacobian,
     jacobian_matrix,
 )
+from hodgescreen.ratfunc import RatFunc
 
 from support import (
     ENV,
@@ -401,6 +403,64 @@ def test_fast_path_failure_falls_back_to_symbolic_rank():
     assert result.value == 1
     assert result.certificate is not None
     assert result.certificate["evaluated_rank"] == 1
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_a_zero_jacobian_at_the_seeded_point_drops_the_certificate(monkeypatch, cross):
+    # the seeded route draws (a, b) first, where every partial of the
+    # chart vanishes, so the evaluated rank 0 falls short of the symbolic
+    # rank 2 and no certificate is kept.  With the cross term (t1-a)(t2-b)
+    # the rank over Q(t) subtracts rows, so it sums rational functions.
+    draws = random.Random(5)
+    a = draws.randint(-_FAST_PATH_RANGE, _FAST_PATH_RANGE)
+    b = draws.randint(-_FAST_PATH_RANGE, _FAST_PATH_RANGE)
+    f = field_over_q("t1", "t2")
+    t1, t2 = f.gens()
+    entries = [f.one(), (t1 - a) ** 2, (t2 - b) ** 2]
+    if cross:
+        entries.append((t1 - a) * (t2 - b))
+    flag = line_flag(f, entries)
+    sums = []
+    add = RatFunc.__add__
+
+    def counting(x, y):
+        sums.append(1)
+        return add(x, y)
+
+    monkeypatch.setattr(RatFunc, "__add__", counting)
+    result = trdeg(flag, seed=5)
+    assert result.value == 2
+    assert result.certificate is None
+    assert sums or not cross
+
+
+# pseudo-remainders in the Q(t) rank below: 1,545 when a sum reduced
+# the whole cross-multiplied fraction by one gcd, 891 with Henrici's sum
+PSEUDO_REMAINDERS = 891
+
+
+def test_the_symbolic_rank_of_a_generic_flag_stays_within_its_pseudo_remainder_count(monkeypatch):
+    rng = random.Random(1)
+    f = field_over_q("t1", "t2", "t3", "t4")
+
+    def form():
+        total = f.coerce(rng.randint(-3, 3))
+        for g in f.gens():
+            total = total + rng.choice((-3, -2, -1, 1, 2, 3)) * g
+        return total
+
+    flag = FlagPoint(f, 6, ((1, (tuple(form() for _ in range(6)),)),))
+    jacobian = jacobian_matrix(normalize_chart(flag), f)
+    calls = []
+    pseudo_rem = polys.pseudo_rem
+
+    def counting(*args):
+        calls.append(1)
+        return pseudo_rem(*args)
+
+    monkeypatch.setattr(polys, "pseudo_rem", counting)
+    assert rank(jacobian) == 4
+    assert 0 < len(calls) <= PSEUDO_REMAINDERS
 
 
 def test_vanishing_denominators_are_reported():

@@ -191,6 +191,72 @@ def test_every_imported_name_is_read():
     assert unread == SPANS_PINS, sorted(unread)
 
 
+# Methods that change a dict in place.
+DICT_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__",
+                 "__delitem__", "__ior__"}
+
+
+def terms_mutations(source: str, filename: str = "<source>") -> list:
+    """Every place in source that assigns a .terms attribute, or changes
+    a .terms dict in place (directly, or through a local name bound to
+    one), apart from the one assignment in Poly.__init__."""
+    tree = ast.parse(source, filename)
+    parents = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+
+    def scope(node):
+        names = []
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+        return ".".join(reversed(names))
+
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    aliases = {(scope(node), target.id) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and is_terms(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def is_terms_dict(node):
+        return is_terms(node) or (isinstance(node, ast.Name)
+                                  and (scope(node), node.id) in aliases)
+
+    found = []
+    for node in ast.walk(tree):
+        where = f"{filename}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript) and is_terms_dict(target.value):
+                    found.append(f"{where}: item of .terms written")
+                elif isinstance(node, ast.AugAssign) and is_terms_dict(target):
+                    found.append(f"{where}: .terms updated in place")
+                elif is_terms(target) and scope(target) != "Poly.__init__":
+                    found.append(f"{where}: .terms assigned")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DICT_MUTATORS and is_terms_dict(node.func.value)):
+            found.append(f"{where}: .terms.{node.func.attr}()")
+    return found
+
+
+def test_no_polynomial_is_mutated():
+    """A PolyRing hands out one zero and one one, so no code in the
+    package may change a Poly's terms after Poly.__init__."""
+    for snippet in ("p.terms[e] = c", "del p.terms[e]", "p.terms.pop(e)",
+                    "p.terms |= q", "def f(p):\n    t = p.terms\n    t.update(q)",
+                    "class Poly:\n    def scale(self):\n        self.terms = {}"):
+        assert terms_mutations(snippet), snippet
+    assert not terms_mutations("def f(p):\n    t = dict(p.terms)\n    t[e] = c")
+    found = []
+    for path in sorted((ROOT / "src" / "hodgescreen").glob("*.py")):
+        found += terms_mutations(path.read_text(), path.name)
+    assert not found, found
+
+
 # Each oracle in support.py and the names of the route it checks, which
 # it must not read, directly or through another function of support.py.
 ORACLE_ROUTES = {

@@ -74,6 +74,26 @@ def test_rational_function_field_axioms_on_reduced_pairs(x, y, z):
     assert pair(x + (-x)) == pair(FIELD.zero())
 
 
+@seed(20261025)
+@SMALL
+@given(linear_polys, nonzero_polys, linear_polys, nonzero_polys,
+       nonzero_polys.filter(lambda p: not p.is_constant()), st.integers(1, 2),
+       small_ratfuncs)
+def test_sums_over_a_shared_denominator_factor_are_the_reduced_cross_products(
+        a, b, c, d, shared, power, w):
+    """x + y and x - y agree, as reduced pairs, with reducing the whole
+    cross-multiplied fraction by one gcd, when the denominators of x and
+    y share a factor; and x + (w - x) is w, which cancels that factor."""
+    g = shared if power == 1 else shared * shared
+    x = RatFunc(FIELD, a, b * g)
+    for y in (RatFunc(FIELD, c, d * g),
+              RatFunc(FIELD, w.num * x.den - x.num * w.den, w.den * x.den)):
+        assert pair(x + y) == pair(RatFunc(FIELD, x.num * y.den + y.num * x.den, x.den * y.den))
+        assert pair(x - y) == pair(RatFunc(FIELD, x.num * y.den - y.num * x.den, x.den * y.den))
+    assert pair(x + y) == pair(w)
+    assert pair(x - x) == pair(FIELD.zero())
+
+
 @seed(20261023)
 @SMALL
 @given(ratfuncs, ratfuncs, coefficients)
